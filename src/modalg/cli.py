@@ -12,7 +12,7 @@ import sys
 from typing import Optional
 
 from . import tasks
-from .core import RelationValue, Structure, Vocabulary, build_universe
+from .core import DEFAULT_UNIVERSE_CAP, RelationValue, Structure, Vocabulary, build_universe
 from .errors import ModalgError
 from .export import collect_stats, export_dot, export_json
 from .flat import eval_flat
@@ -248,8 +248,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     def common(p):
         p.add_argument("spec", help=".mod spec file")
-        p.add_argument("--cap", type=int, default=20,
-                       help="universe bit cap (default 20)")
+        p.add_argument("--cap", type=int, default=DEFAULT_UNIVERSE_CAP,
+                       help="universe bit cap (default %(default)s)")
 
     p = sub.add_parser("eval-flat", help="print the extension of a flat definition")
     common(p)

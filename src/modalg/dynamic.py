@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Optional
 
 from .core import (
     RelationValue,
-    Structure,
     Universe,
     Valuation,
     extension_index_set,
@@ -26,11 +25,12 @@ from .errors import (
     UnboundModuleVar,
     WellformednessError,
 )
-from .flat import Const, EvalStats, Var, Operand, _lfp_indexsets, _select_filter
+from .flat import Const, EvalStats, Var, Operand, _label, _lfp_indexsets, _select_filter
 from .indexsets import MATERIALIZE_LIMIT, IndexSet, submasks
+from .syntax import Node, map_children, walk
 
 
-class ProcExpr:
+class ProcExpr(Node):
     """Base class for process (binary-relation) ASTs."""
 
     __slots__ = ()
@@ -201,58 +201,27 @@ def kleene_star(a: ProcExpr) -> ProcExpr:
 
 
 def module_vars_of(a: ProcExpr) -> frozenset[str]:
+    """Module and set variables used or bound anywhere in a, state tests included."""
+    from .lmumu import Lfp as StateLfp, SetVar
+
     out: set[str] = set()
-
-    def walk(node: ProcExpr) -> None:
-        if isinstance(node, ModuleVar):
+    for node in walk(a):
+        if isinstance(node, (ModuleVar, SetVar)):
             out.add(node.name)
-        elif isinstance(node, (Union, Compose)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Complement, Project, Select, Down, Up, UnaryNeg, Count,
-                               Reverse, TestEq, TestNeq)):
-            walk(node.inner)
-        elif isinstance(node, Lfp):
+        elif isinstance(node, (Lfp, StateLfp)):
             out.add(node.var)
-            walk(node.body)
-
-    walk(a)
     return frozenset(out)
 
 
 def flip_actions(a: ProcExpr) -> ProcExpr:
-    """Swap in/out on every atomic action (reverse distributes to atoms)."""
+    """Swap in/out on every atomic action (reverse distributes to atoms).
+
+    State tests are left as written."""
     if isinstance(a, Action):
         return Action(a.module, a.args, a.outputs, a.inputs)
-    if isinstance(a, (Bottom, Test, ModuleVar, Diagonal, ConstTest, StateTest)):
+    if isinstance(a, StateTest):
         return a
-    if isinstance(a, Union):
-        return Union(flip_actions(a.left), flip_actions(a.right))
-    if isinstance(a, Compose):
-        return Compose(flip_actions(a.left), flip_actions(a.right))
-    if isinstance(a, Complement):
-        return Complement(flip_actions(a.inner))
-    if isinstance(a, Project):
-        return Project(a.keep, flip_actions(a.inner))
-    if isinstance(a, Select):
-        return Select(a.left, a.right, flip_actions(a.inner))
-    if isinstance(a, Lfp):
-        return Lfp(a.var, flip_actions(a.body))
-    if isinstance(a, Down):
-        return Down(flip_actions(a.inner))
-    if isinstance(a, Up):
-        return Up(flip_actions(a.inner))
-    if isinstance(a, UnaryNeg):
-        return UnaryNeg(flip_actions(a.inner))
-    if isinstance(a, Count):
-        return Count(flip_actions(a.inner), a.low, a.high)
-    if isinstance(a, Reverse):
-        return Reverse(flip_actions(a.inner))
-    if isinstance(a, TestEq):
-        return TestEq(flip_actions(a.inner))
-    if isinstance(a, TestNeq):
-        return TestNeq(flip_actions(a.inner))
-    raise TypeError(f"not a process expression: {a!r}")
+    return map_children(a, flip_actions)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +305,6 @@ class EdgeSet:
         for code in self.iset.indices():
             yield divmod(code, n)
 
-    def structure_pairs(self) -> Iterator[tuple[Structure, Structure]]:
-        for i, j in self.pairs():
-            yield self.universe.structure_at(i), self.universe.structure_at(j)
-
     def contains(self, i: int, j: int) -> bool:
         return i * self.universe.size + j in self.iset
 
@@ -374,9 +339,6 @@ class TransitionSystem:
     universe: Universe
     edges: dict[str, EdgeSet] = field(default_factory=dict)
     order: tuple[str, ...] = ()
-
-    def edge_count(self, label: str) -> int:
-        return len(self.edges[label])
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +522,12 @@ def _eval_dyn_inner(a: ProcExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
     if isinstance(a, Select):
         return _eval_select(a, ctx, val)
     if isinstance(a, Lfp):
-        from .printer import to_text
-
-        label = to_text(a)
 
         def step(current: IndexSet) -> IndexSet:
             bound = val.bind(a.var, EdgeSet(u, current))
             return _eval_dyn(a.body, ctx, bound)
 
-        return _lfp_indexsets(step, n * n, label, ctx.stats)
+        return _lfp_indexsets(step, n * n, lambda: _label(a), ctx.stats)
     if isinstance(a, Down):
         inner = _eval_dyn(a.inner, ctx, val)
         return _diag_on(_firsts(inner, n), n)
@@ -665,31 +624,18 @@ def _eval_select(a: Select, ctx: _DynContext, val: Valuation) -> IndexSet:
 
 
 def subformulas(a: ProcExpr) -> list[ProcExpr]:
-    """Postorder, duplicates removed by identity of canonical print."""
+    """Postorder, duplicates removed by identity of canonical print; state
+    tests are labelled but not entered."""
     from .printer import to_text
 
     seen: set[str] = set()
     out: list[ProcExpr] = []
-
-    def walk(node: ProcExpr) -> None:
-        for child in _children(node):
-            walk(child)
+    for node in walk(a, ProcExpr):
         key = to_text(node)
         if key not in seen:
             seen.add(key)
             out.append(node)
-
-    walk(a)
     return out
-
-
-def _children(node: ProcExpr) -> tuple[ProcExpr, ...]:
-    if isinstance(node, (Union, Compose)):
-        return (node.left, node.right)
-    if isinstance(node, (Complement, Project, Select, Lfp, Down, Up, UnaryNeg, Count,
-                         Reverse, TestEq, TestNeq)):
-        return (node.body,) if isinstance(node, Lfp) else (node.inner,)
-    return ()
 
 
 def build_transition_system(

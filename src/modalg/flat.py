@@ -24,9 +24,10 @@ from .errors import (
     WellformednessError,
 )
 from .indexsets import IndexSet, submasks
+from .syntax import Node, children, walk
 
 
-class FlatExpr:
+class FlatExpr(Node):
     """Base class for flat-algebra ASTs."""
 
     __slots__ = ()
@@ -126,42 +127,31 @@ def minus(left: FlatExpr, right: FlatExpr) -> FlatExpr:
 # Static analysis
 
 
+def _operand_vars(e: FlatExpr) -> tuple[str, ...]:
+    """Relational variables used by this node itself (not its subterms)."""
+    if isinstance(e, Atom):
+        return e.args
+    if isinstance(e, Select):
+        return tuple(op.name for op in (e.left, e.right) if isinstance(op, Var))
+    return ()
+
+
 def occurring_vars(e: FlatExpr) -> frozenset[str]:
     """Relational variables used by atoms or selection operands."""
-    if isinstance(e, (Bottom, ModuleVar)):
-        return frozenset()
-    if isinstance(e, Atom):
-        return frozenset(e.args)
-    if isinstance(e, Union):
-        return occurring_vars(e.left) | occurring_vars(e.right)
-    if isinstance(e, (Complement, Project)):
-        return occurring_vars(e.inner)
-    if isinstance(e, Select):
-        ops = {op.name for op in (e.left, e.right) if isinstance(op, Var)}
-        return occurring_vars(e.inner) | frozenset(ops)
-    if isinstance(e, Lfp):
-        return occurring_vars(e.body)
-    raise TypeError(f"not a flat expression: {e!r}")
+    return frozenset(v for node in walk(e) for v in _operand_vars(node))
 
 
 def free_relational_vars(e: FlatExpr) -> frozenset[str]:
     """Variables visible from outside: projection existentially hides the rest."""
-    if isinstance(e, (Bottom, ModuleVar)):
-        return frozenset()
-    if isinstance(e, Atom):
-        return frozenset(e.args)
-    if isinstance(e, Union):
-        return free_relational_vars(e.left) | free_relational_vars(e.right)
-    if isinstance(e, Complement):
-        return free_relational_vars(e.inner)
     if isinstance(e, Project):
         return free_relational_vars(e.inner) & e.keep
-    if isinstance(e, Select):
-        ops = {op.name for op in (e.left, e.right) if isinstance(op, Var)}
-        return free_relational_vars(e.inner) | frozenset(ops)
-    if isinstance(e, Lfp):
-        return free_relational_vars(e.body)
-    raise TypeError(f"not a flat expression: {e!r}")
+    return frozenset(_operand_vars(e)).union(*map(free_relational_vars, children(e)))
+
+
+def _label(node: Node) -> str:
+    from .printer import to_text
+
+    return to_text(node)
 
 
 @dataclass(frozen=True)
@@ -170,25 +160,18 @@ class Violation:
     message: str
 
     def __str__(self) -> str:
-        from .printer import to_text
-
-        return f"{self.message} (in: {to_text(self.node)})"
+        return f"{self.message} (in: {_label(self.node)})"
 
 
-def _polarities(e: FlatExpr, var: str, negations: int, hits: list[int]) -> None:
+def _polarities(e: FlatExpr, var: str, negations: int = 0) -> list[int]:
+    """Complement depth of each free occurrence of module variable var."""
     if isinstance(e, ModuleVar):
-        if e.name == var:
-            hits.append(negations)
-    elif isinstance(e, Union):
-        _polarities(e.left, var, negations, hits)
-        _polarities(e.right, var, negations, hits)
-    elif isinstance(e, Complement):
-        _polarities(e.inner, var, negations + 1, hits)
-    elif isinstance(e, (Project, Select)):
-        _polarities(e.inner, var, negations, hits)
-    elif isinstance(e, Lfp):
-        if e.var != var:  # shadowed
-            _polarities(e.body, var, negations, hits)
+        return [negations] if e.name == var else []
+    if isinstance(e, Lfp) and e.var == var:  # shadowed
+        return []
+    if isinstance(e, Complement):
+        negations += 1
+    return [h for child in children(e) for h in _polarities(child, var, negations)]
 
 
 def check_wellformed(e: FlatExpr) -> list[Violation]:
@@ -201,9 +184,7 @@ def check_wellformed(e: FlatExpr) -> list[Violation]:
     violations: list[Violation] = []
     arities: dict[str, int] = {}
 
-    def note_arity(var: str, arity: Optional[int], node: FlatExpr) -> None:
-        if arity is None:
-            return
+    def note_arity(var: str, arity: int, node: FlatExpr) -> None:
         if var in arities and arities[var] != arity:
             violations.append(
                 Violation(node, f"variable {var} used at arities {arities[var]} and {arity}")
@@ -211,45 +192,27 @@ def check_wellformed(e: FlatExpr) -> list[Violation]:
         else:
             arities[var] = arity
 
-    def walk(node: FlatExpr) -> None:
-        if isinstance(node, (Bottom, ModuleVar, Atom)):
-            return
-        if isinstance(node, Union):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Complement):
-            walk(node.inner)
-        elif isinstance(node, Project):
+    for node in walk(e):
+        if isinstance(node, Project):
             missing = node.keep - occurring_vars(node.inner)
             if missing:
                 violations.append(
                     Violation(node, f"projection keeps {sorted(missing)} which do not occur")
                 )
-            walk(node.inner)
         elif isinstance(node, Select):
             l, r = node.left, node.right
             if isinstance(l, Const) and isinstance(r, Const):
                 if l.arity is not None and r.arity is not None and l.arity != r.arity:
                     violations.append(Violation(node, "selection constants of different arity"))
-            for op in (l, r):
-                if isinstance(op, Var) and op.name in arities:
-                    other = r if op is l else l
-                    if isinstance(other, Const) and other.arity is not None:
-                        note_arity(op.name, other.arity, node)
-            walk(node.inner)
+            for op, other in ((l, r), (r, l)):
+                if isinstance(op, Var) and isinstance(other, Const) and other.arity is not None:
+                    note_arity(op.name, other.arity, node)
         elif isinstance(node, Lfp):
-            hits: list[int] = []
-            _polarities(node.body, node.var, 0, hits)
-            if any(h % 2 for h in hits):
+            if any(h % 2 for h in _polarities(node.body, node.var)):
                 violations.append(
                     Violation(node, f"module variable {node.var} occurs under an odd "
                     f"number of complements")
                 )
-            walk(node.body)
-        else:
-            violations.append(Violation(node, f"unknown node {type(node).__name__}"))
-
-    walk(e)
     return violations
 
 
@@ -342,8 +305,13 @@ def _check_injective(e: FlatExpr, valuation: Valuation) -> None:
 
 
 def _lfp_indexsets(
-    f: Callable[[IndexSet], IndexSet], space: int, label: str, stats: Optional[EvalStats]
+    f: Callable[[IndexSet], IndexSet],
+    space: int,
+    label: Callable[[], str],
+    stats: Optional[EvalStats],
 ) -> IndexSet:
+    """Iterate f from the empty set; label() names the fixpoint in stats and
+    errors and is called only when one of them needs it."""
     current = IndexSet.empty(space)
     iterations = 0
     while True:
@@ -351,11 +319,11 @@ def _lfp_indexsets(
         nxt = f(current)
         if not current.issubset(nxt):
             raise NonMonotoneDetected(
-                f"fixpoint iteration for {label} shrank the set; body is not monotone"
+                f"fixpoint iteration for {label()} shrank the set; body is not monotone"
             )
         if nxt.issubset(current):
             if stats is not None:
-                stats.record_fixpoint(label, iterations)
+                stats.record_fixpoint(label(), iterations)
             return current
         current = nxt
 
@@ -411,15 +379,12 @@ def _eval(
         inner = _eval(e.inner, valuation, u, ext_cache, stats)
         return inner.intersection(_select_filter(e.left, e.right, valuation, u))
     if isinstance(e, Lfp):
-        from .printer import to_text
-
-        label = to_text(e)
 
         def step(current: IndexSet) -> IndexSet:
             bound = valuation.bind(e.var, StructureSet(u, current))
             return _eval(e.body, bound, u, ext_cache, stats)
 
-        return _lfp_indexsets(step, u.size, label, stats)
+        return _lfp_indexsets(step, u.size, lambda: _label(e), stats)
     raise TypeError(f"not a flat expression: {e!r}")
 
 
@@ -438,4 +403,4 @@ def lfp_iterate(
     def step(iset: IndexSet) -> IndexSet:
         return f(StructureSet(universe, iset)).iset
 
-    return StructureSet(universe, _lfp_indexsets(step, universe.size, label, stats))
+    return StructureSet(universe, _lfp_indexsets(step, universe.size, lambda: label, stats))

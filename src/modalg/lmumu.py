@@ -12,11 +12,12 @@ from . import dynamic
 from .core import Structure, StructureSet, Universe, Valuation
 from .dynamic import ProcExpr, _DynContext
 from .errors import UnboundSetVar, UnsafeRule
-from .flat import EvalStats, _lfp_indexsets
+from .flat import EvalStats, _label, _lfp_indexsets
 from .indexsets import IndexSet
+from .syntax import Node, map_children, walk
 
 
-class StateExpr:
+class StateExpr(Node):
     """Base class for state-formula ASTs."""
 
     __slots__ = ()
@@ -72,20 +73,13 @@ class Lfp(StateExpr):
 
 def state_vars(phi: StateExpr) -> frozenset[str]:
     """Relational variables mentioned anywhere in the formula."""
-    if isinstance(phi, Prop):
-        return frozenset(phi.args)
-    if isinstance(phi, SetVar):
-        return frozenset()
-    if isinstance(phi, (Or, And)):
-        return state_vars(phi.left) | state_vars(phi.right)
-    if isinstance(phi, Not):
-        return state_vars(phi.inner)
-    if isinstance(phi, (Diamond, Box)):
-        sigma, epsilon = dynamic.io_vocab(phi.process)
-        return sigma | epsilon | state_vars(phi.inner)
-    if isinstance(phi, Lfp):
-        return state_vars(phi.body)
-    raise TypeError(f"not a state expression: {phi!r}")
+    out: set[str] = set()
+    for node in walk(phi, StateExpr):
+        if isinstance(node, Prop):
+            out.update(node.args)
+        elif isinstance(node, (Diamond, Box)):
+            out.update(*dynamic.io_vocab(node.process))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +138,12 @@ def _eval_state(phi: StateExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
         bad = _eval_state(phi.inner, ctx, val).complement()
         return _diamond_states(edges, bad, n).complement()
     if isinstance(phi, Lfp):
-        from .printer import state_to_text
-
-        label = state_to_text(phi)
 
         def step(current: IndexSet) -> IndexSet:
             bound = val.bind(phi.var, StructureSet(u, current))
             return _eval_state(phi.body, ctx, bound)
 
-        return _lfp_indexsets(step, n, label, ctx.stats)
+        return _lfp_indexsets(step, n, lambda: _label(phi), ctx.stats)
     raise TypeError(f"not a state expression: {phi!r}")
 
 
@@ -203,33 +194,7 @@ def translate_process(a: ProcExpr) -> ProcExpr:
     """Rewrite state tests phi? into dn(phi^); everything else is unchanged."""
     if isinstance(a, dynamic.StateTest):
         return dynamic.Down(translate_two_sorted(a.phi))
-    if isinstance(a, dynamic.Union):
-        return dynamic.Union(translate_process(a.left), translate_process(a.right))
-    if isinstance(a, dynamic.Compose):
-        return dynamic.Compose(translate_process(a.left), translate_process(a.right))
-    if isinstance(a, dynamic.Complement):
-        return dynamic.Complement(translate_process(a.inner))
-    if isinstance(a, dynamic.Project):
-        return dynamic.Project(a.keep, translate_process(a.inner))
-    if isinstance(a, dynamic.Select):
-        return dynamic.Select(a.left, a.right, translate_process(a.inner))
-    if isinstance(a, dynamic.Lfp):
-        return dynamic.Lfp(a.var, translate_process(a.body))
-    if isinstance(a, dynamic.Down):
-        return dynamic.Down(translate_process(a.inner))
-    if isinstance(a, dynamic.Up):
-        return dynamic.Up(translate_process(a.inner))
-    if isinstance(a, dynamic.UnaryNeg):
-        return dynamic.UnaryNeg(translate_process(a.inner))
-    if isinstance(a, dynamic.Count):
-        return dynamic.Count(translate_process(a.inner), a.low, a.high)
-    if isinstance(a, dynamic.Reverse):
-        return dynamic.Reverse(translate_process(a.inner))
-    if isinstance(a, dynamic.TestEq):
-        return dynamic.TestEq(translate_process(a.inner))
-    if isinstance(a, dynamic.TestNeq):
-        return dynamic.TestNeq(translate_process(a.inner))
-    return a
+    return map_children(a, translate_process)
 
 
 def tautology(valuation: Valuation) -> StateExpr:

@@ -36,47 +36,54 @@ def to_text(e) -> str:
     return text
 
 
-def state_to_text(phi) -> str:
-    return to_text(phi)
-
-
 def _emit(e) -> tuple[str, int]:
-    if isinstance(e, flat.FlatExpr):
-        return _emit_flat(e)
-    if isinstance(e, dynamic.ProcExpr):
-        return _emit_proc(e)
-    if isinstance(e, lmumu.StateExpr):
-        return _emit_state(e)
-    raise TypeError(f"not an expression: {e!r}")
+    emit = _EMITTERS.get(type(e))
+    if emit is None:
+        raise TypeError(f"not an expression: {e!r}")
+    return emit(e)
 
 
-def _emit_flat(e: flat.FlatExpr) -> tuple[str, int]:
-    if isinstance(e, flat.Bottom):
-        return "bot", _PRIMARY
-    if isinstance(e, flat.Atom):
-        return f"{e.module}({','.join(e.args)})", _PRIMARY
-    if isinstance(e, flat.ModuleVar):
-        return e.name, _PRIMARY
-    if isinstance(e, flat.Union):
-        lt, ll = _emit_flat(e.left)
-        rt, rl = _emit_flat(e.right)
-        return f"{_paren(lt, ll, _UNION)} | {_paren(rt, rl, _SEQ)}", _UNION
-    if isinstance(e, flat.Complement):
-        it, il = _emit_flat(e.inner)
-        return f"-{_paren(it, il, _PREFIX)}", _PREFIX
-    if isinstance(e, flat.Project):
-        it, il = _emit_flat(e.inner)
-        return f"pi{{{_names(e.keep)}}} {_paren(it, il, _PREFIX)}", _PREFIX
-    if isinstance(e, flat.Select):
-        it, il = _emit_flat(e.inner)
-        return (
-            f"sel[{_operand(e.left)} == {_operand(e.right)}] {_paren(it, il, _PREFIX)}",
-            _PREFIX,
-        )
-    if isinstance(e, flat.Lfp):
-        bt, _ = _emit_flat(e.body)
-        return f"mu {e.var} . {bt}", _MU
-    raise TypeError(f"not a flat expression: {e!r}")
+def _primary(text):
+    return lambda e: (text(e), _PRIMARY)
+
+
+def _binary(op: str, level: int):
+    """Left-associative: the right operand binds one level tighter."""
+
+    def emit(e):
+        lt, ll = _emit(e.left)
+        rt, rl = _emit(e.right)
+        return f"{_paren(lt, ll, level)}{op}{_paren(rt, rl, level + 1)}", level
+
+    return emit
+
+
+def _prefix(word):
+    """word(e) is the operator text printed before the inner term."""
+
+    def emit(e):
+        it, il = _emit(e.inner)
+        return word(e) + _paren(it, il, _PREFIX), _PREFIX
+
+    return emit
+
+
+def _postfix(word):
+    """word(e) is the operator text printed after the inner term."""
+
+    def emit(e):
+        it, il = _emit(e.inner)
+        return _paren(it, il, _PRIMARY) + word(e), _PRIMARY
+
+    return emit
+
+
+def _mu(e) -> tuple[str, int]:
+    return f"mu {e.var} . {_emit(e.body)[0]}", _MU
+
+
+def _atom(e) -> str:
+    return f"{e.module}({','.join(e.args)})"
 
 
 def _action_args(e: dynamic.Action) -> str:
@@ -93,93 +100,39 @@ def _action_args(e: dynamic.Action) -> str:
     return "".join(parts)
 
 
-def _emit_proc(e: dynamic.ProcExpr) -> tuple[str, int]:
-    if isinstance(e, dynamic.Bottom):
-        return "bot", _PRIMARY
-    if isinstance(e, dynamic.Diagonal):
-        return "diag", _PRIMARY
-    if isinstance(e, dynamic.Test):
-        return f"{e.module}({','.join(e.args)})?", _PRIMARY
-    if isinstance(e, dynamic.Action):
-        return f"{e.module}({_action_args(e)})", _PRIMARY
-    if isinstance(e, dynamic.ModuleVar):
-        return e.name, _PRIMARY
-    if isinstance(e, dynamic.Union):
-        lt, ll = _emit_proc(e.left)
-        rt, rl = _emit_proc(e.right)
-        return f"{_paren(lt, ll, _UNION)} | {_paren(rt, rl, _SEQ)}", _UNION
-    if isinstance(e, dynamic.Compose):
-        lt, ll = _emit_proc(e.left)
-        rt, rl = _emit_proc(e.right)
-        return f"{_paren(lt, ll, _SEQ)} ; {_paren(rt, rl, _PREFIX)}", _SEQ
-    if isinstance(e, dynamic.Complement):
-        it, il = _emit_proc(e.inner)
-        return f"-{_paren(it, il, _PREFIX)}", _PREFIX
-    if isinstance(e, dynamic.Down):
-        it, il = _emit_proc(e.inner)
-        return f"dn {_paren(it, il, _PREFIX)}", _PREFIX
-    if isinstance(e, dynamic.Up):
-        it, il = _emit_proc(e.inner)
-        return f"up {_paren(it, il, _PREFIX)}", _PREFIX
-    if isinstance(e, dynamic.UnaryNeg):
-        it, il = _emit_proc(e.inner)
-        return f"neg {_paren(it, il, _PREFIX)}", _PREFIX
-    if isinstance(e, dynamic.Reverse):
-        it, il = _emit_proc(e.inner)
-        return f"rev {_paren(it, il, _PREFIX)}", _PREFIX
-    if isinstance(e, dynamic.Project):
-        it, il = _emit_proc(e.inner)
-        return f"pi{{{_names(e.keep)}}} {_paren(it, il, _PREFIX)}", _PREFIX
-    if isinstance(e, dynamic.Select):
-        it, il = _emit_proc(e.inner)
-        return (
-            f"sel[{_operand(e.left)} == {_operand(e.right)}] {_paren(it, il, _PREFIX)}",
-            _PREFIX,
-        )
-    if isinstance(e, dynamic.Lfp):
-        bt, _ = _emit_proc(e.body)
-        return f"mu {e.var} . {bt}", _MU
-    if isinstance(e, dynamic.Count):
-        it, il = _emit_proc(e.inner)
-        return f"{_paren(it, il, _PRIMARY)}^{{{e.low},{e.high}}}", _PRIMARY
-    if isinstance(e, dynamic.TestEq):
-        it, il = _emit_proc(e.inner)
-        return f"{_paren(it, il, _PRIMARY)}=?", _PRIMARY
-    if isinstance(e, dynamic.TestNeq):
-        it, il = _emit_proc(e.inner)
-        return f"{_paren(it, il, _PRIMARY)}!=?", _PRIMARY
-    if isinstance(e, dynamic.ConstTest):
-        rel = _operand(e.value)
-        op = "==" if e.equal else "!="
-        return f"const[{e.var} {op} {rel}]", _PRIMARY
-    if isinstance(e, dynamic.StateTest):
-        return f"({to_text(e.phi)})?", _PRIMARY
-    raise TypeError(f"not a process expression: {e!r}")
+def _const_test(e: dynamic.ConstTest) -> str:
+    op = "==" if e.equal else "!="
+    return f"const[{e.var} {op} {_operand(e.value)}]"
 
 
-def _emit_state(e: lmumu.StateExpr) -> tuple[str, int]:
-    if isinstance(e, lmumu.Prop):
-        return f"prop {e.module}({','.join(e.args)})", _PRIMARY
-    if isinstance(e, lmumu.SetVar):
-        return e.name, _PRIMARY
-    if isinstance(e, lmumu.Or):
-        lt, ll = _emit_state(e.left)
-        rt, rl = _emit_state(e.right)
-        return f"{_paren(lt, ll, _UNION)} | {_paren(rt, rl, _SEQ)}", _UNION
-    if isinstance(e, lmumu.And):
-        lt, ll = _emit_state(e.left)
-        rt, rl = _emit_state(e.right)
-        return f"{_paren(lt, ll, _SEQ)} & {_paren(rt, rl, _PREFIX)}", _SEQ
-    if isinstance(e, lmumu.Not):
-        it, il = _emit_state(e.inner)
-        return f"!{_paren(it, il, _PREFIX)}", _PREFIX
-    if isinstance(e, lmumu.Diamond):
-        it, il = _emit_state(e.inner)
-        return f"<{to_text(e.process)}> {_paren(it, il, _PREFIX)}", _PREFIX
-    if isinstance(e, lmumu.Box):
-        it, il = _emit_state(e.inner)
-        return f"[{to_text(e.process)}] {_paren(it, il, _PREFIX)}", _PREFIX
-    if isinstance(e, lmumu.Lfp):
-        bt, _ = _emit_state(e.body)
-        return f"mu {e.var} . {bt}", _MU
-    raise TypeError(f"not a state expression: {e!r}")
+# one emitter per operator shape, shared by the sorts that have the operator
+_EMITTERS = {
+    **dict.fromkeys((flat.Bottom, dynamic.Bottom), _primary(lambda e: "bot")),
+    **dict.fromkeys((flat.ModuleVar, dynamic.ModuleVar, lmumu.SetVar), _primary(lambda e: e.name)),
+    flat.Atom: _primary(_atom),
+    dynamic.Test: _primary(lambda e: _atom(e) + "?"),
+    lmumu.Prop: _primary(lambda e: "prop " + _atom(e)),
+    dynamic.Action: _primary(lambda e: f"{e.module}({_action_args(e)})"),
+    dynamic.Diagonal: _primary(lambda e: "diag"),
+    dynamic.ConstTest: _primary(_const_test),
+    dynamic.StateTest: _primary(lambda e: f"({to_text(e.phi)})?"),
+    **dict.fromkeys((flat.Union, dynamic.Union, lmumu.Or), _binary(" | ", _UNION)),
+    dynamic.Compose: _binary(" ; ", _SEQ),
+    lmumu.And: _binary(" & ", _SEQ),
+    **dict.fromkeys((flat.Complement, dynamic.Complement), _prefix(lambda e: "-")),
+    lmumu.Not: _prefix(lambda e: "!"),
+    dynamic.Down: _prefix(lambda e: "dn "),
+    dynamic.Up: _prefix(lambda e: "up "),
+    dynamic.UnaryNeg: _prefix(lambda e: "neg "),
+    dynamic.Reverse: _prefix(lambda e: "rev "),
+    **dict.fromkeys((flat.Project, dynamic.Project),
+                    _prefix(lambda e: f"pi{{{_names(e.keep)}}} ")),
+    **dict.fromkeys((flat.Select, dynamic.Select),
+                    _prefix(lambda e: f"sel[{_operand(e.left)} == {_operand(e.right)}] ")),
+    lmumu.Diamond: _prefix(lambda e: f"<{to_text(e.process)}> "),
+    lmumu.Box: _prefix(lambda e: f"[{to_text(e.process)}] "),
+    dynamic.Count: _postfix(lambda e: f"^{{{e.low},{e.high}}}"),
+    dynamic.TestEq: _postfix(lambda e: "=?"),
+    dynamic.TestNeq: _postfix(lambda e: "!=?"),
+    **dict.fromkeys((flat.Lfp, dynamic.Lfp, lmumu.Lfp), _mu),
+}

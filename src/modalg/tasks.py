@@ -38,6 +38,7 @@ from .errors import (
     WellformednessError,
 )
 from .flat import Const, FlatExpr, Var, free_relational_vars, occurring_vars
+from .syntax import Node, children, walk
 
 MX_RESULT_LIMIT = 1 << 20
 
@@ -54,7 +55,8 @@ def infer_arities(e: FlatExpr, valuation: Valuation) -> dict[str, int]:
         if arities.setdefault(var, arity) != arity:
             raise ArityMismatch(f"variable {var} used at arities {arities[var]} and {arity}")
 
-    def walk(node: FlatExpr) -> None:
+    # post-order: a selection's operands are noted after its inner atoms
+    for node in walk(e):
         if isinstance(node, flat.Atom):
             module = valuation.module(node.module)
             if len(node.args) != len(module.vvoc):
@@ -64,13 +66,7 @@ def infer_arities(e: FlatExpr, valuation: Valuation) -> dict[str, int]:
                 )
             for (_, arity), arg in zip(module.vvoc, node.args):
                 note(arg, arity)
-        elif isinstance(node, flat.Union):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (flat.Complement, flat.Project)):
-            walk(node.inner)
         elif isinstance(node, flat.Select):
-            walk(node.inner)
             l, r = node.left, node.right
             for op, other in ((l, r), (r, l)):
                 if isinstance(op, Var):
@@ -81,10 +77,6 @@ def infer_arities(e: FlatExpr, valuation: Valuation) -> dict[str, int]:
                     note(r.name, arities[l.name])
                 elif r.name in arities:
                     note(l.name, arities[r.name])
-        elif isinstance(node, flat.Lfp):
-            walk(node.body)
-
-    walk(e)
     return arities
 
 
@@ -110,13 +102,7 @@ def task_vocabulary(
 
 
 def _needs_universe(e: FlatExpr) -> bool:
-    if isinstance(e, (flat.Lfp, flat.ModuleVar)):
-        return True
-    if isinstance(e, flat.Union):
-        return _needs_universe(e.left) or _needs_universe(e.right)
-    if isinstance(e, (flat.Complement, flat.Project, flat.Select)):
-        return _needs_universe(e.inner)
-    return False
+    return any(isinstance(node, (flat.Lfp, flat.ModuleVar)) for node in walk(e))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +404,7 @@ def ev(
 # Query evaluation through the singleton encoding
 
 
-class FOFormula:
+class FOFormula(Node):
     __slots__ = ()
 
 
@@ -461,24 +447,19 @@ def fo_free_vars(f: FOFormula) -> tuple[str, ...]:
     """Free object variables in first-occurrence order."""
     out: list[str] = []
 
-    def walk(node: FOFormula, bound: frozenset[str]) -> None:
-        if isinstance(node, FOAtom):
-            for a in node.args:
-                if a not in bound and a not in out:
-                    out.append(a)
-        elif isinstance(node, FOEq):
-            for a in (node.left, node.right):
-                if a not in bound and a not in out:
-                    out.append(a)
-        elif isinstance(node, (FOAnd, FOOr)):
-            walk(node.left, bound)
-            walk(node.right, bound)
-        elif isinstance(node, FONot):
-            walk(node.inner, bound)
-        elif isinstance(node, FOExists):
-            walk(node.body, bound | {node.var})
+    def visit(node: FOFormula, bound: frozenset[str]) -> None:
+        if isinstance(node, FOExists):
+            bound = bound | {node.var}
+        used = node.args if isinstance(node, FOAtom) else ()
+        if isinstance(node, FOEq):
+            used = (node.left, node.right)
+        for a in used:
+            if a not in bound and a not in out:
+                out.append(a)
+        for child in children(node):
+            visit(child, bound)
 
-    walk(f, frozenset())
+    visit(f, frozenset())
     return tuple(out)
 
 
@@ -549,19 +530,7 @@ def qe_encode(query: FOFormula, db: Structure) -> TaskInstance:
     relational variables)."""
     free = fo_free_vars(query)
     db_syms = set(db.vocabulary.names)
-    all_vars: set[str] = set(free)
-
-    def collect(node: FOFormula) -> None:
-        if isinstance(node, FOExists):
-            all_vars.add(node.var)
-            collect(node.body)
-        elif isinstance(node, (FOAnd, FOOr)):
-            collect(node.left)
-            collect(node.right)
-        elif isinstance(node, FONot):
-            collect(node.inner)
-
-    collect(query)
+    all_vars = set(free) | {node.var for node in walk(query) if isinstance(node, FOExists)}
     clash = all_vars & db_syms
     if clash:
         raise NonSingletonEncoding(
@@ -653,38 +622,11 @@ def temp_mc_search(
 def _propositional_check(phi: lmumu.StateExpr, valuation: Valuation) -> frozenset[str]:
     """Validate the propositional restriction; returns the variables used."""
     variables = lmumu.state_vars(phi)
-    modules: set[str] = set()
-
-    def collect_proc(a: dynamic.ProcExpr) -> None:
-        if isinstance(a, (dynamic.Test, dynamic.Action)):
-            modules.add(a.module)
-        elif isinstance(a, (dynamic.Union, dynamic.Compose)):
-            collect_proc(a.left)
-            collect_proc(a.right)
-        elif isinstance(a, (dynamic.Complement, dynamic.Project, dynamic.Select,
-                            dynamic.Down, dynamic.Up, dynamic.UnaryNeg, dynamic.Count,
-                            dynamic.Reverse, dynamic.TestEq, dynamic.TestNeq)):
-            collect_proc(a.inner)
-        elif isinstance(a, dynamic.Lfp):
-            collect_proc(a.body)
-        elif isinstance(a, dynamic.StateTest):
-            collect_state(a.phi)
-
-    def collect_state(p: lmumu.StateExpr) -> None:
-        if isinstance(p, lmumu.Prop):
-            modules.add(p.module)
-        elif isinstance(p, (lmumu.Or, lmumu.And)):
-            collect_state(p.left)
-            collect_state(p.right)
-        elif isinstance(p, lmumu.Not):
-            collect_state(p.inner)
-        elif isinstance(p, (lmumu.Diamond, lmumu.Box)):
-            collect_proc(p.process)
-            collect_state(p.inner)
-        elif isinstance(p, lmumu.Lfp):
-            collect_state(p.body)
-
-    collect_state(phi)
+    modules = {
+        node.module
+        for node in walk(phi)
+        if isinstance(node, (lmumu.Prop, dynamic.Test, dynamic.Action))
+    }
     for name in modules:
         module = valuation.module(name)
         if not module.propositional:
@@ -753,21 +695,8 @@ def reach(
 
 
 def _atom_occurrences(e: FlatExpr) -> list[flat.Atom]:
-    out: list[flat.Atom] = []
-
-    def walk(node: FlatExpr) -> None:
-        if isinstance(node, flat.Atom):
-            out.append(node)
-        elif isinstance(node, flat.Union):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (flat.Complement, flat.Project, flat.Select)):
-            walk(node.inner)
-        elif isinstance(node, flat.Lfp):
-            walk(node.body)
-
-    walk(e)
-    return out
+    """Atoms left to right, numbered as dynamize numbers them."""
+    return [node for node in walk(e) if isinstance(node, flat.Atom)]
 
 
 def enumerate_io_assignments(
@@ -799,9 +728,7 @@ def dynamize(
     per the assignment."""
     counter = itertools.count()
 
-    def walk(node: FlatExpr) -> dynamic.ProcExpr:
-        if isinstance(node, flat.Bottom):
-            return dynamic.Bottom()
+    def convert(node: FlatExpr) -> dynamic.ProcExpr:
         if isinstance(node, flat.Atom):
             occ = next(counter)
             ins, outs = set(), set()
@@ -818,21 +745,19 @@ def dynamize(
                         )
                     (ins if direction == "in" else outs).add(var)
             return dynamic.Action(node.module, node.args, frozenset(ins), frozenset(outs))
-        if isinstance(node, flat.ModuleVar):
-            return dynamic.ModuleVar(node.name)
-        if isinstance(node, flat.Union):
-            return dynamic.Union(walk(node.left), walk(node.right))
-        if isinstance(node, flat.Complement):
-            return dynamic.Complement(walk(node.inner))
-        if isinstance(node, flat.Project):
-            return dynamic.Project(node.keep, walk(node.inner))
-        if isinstance(node, flat.Select):
-            return dynamic.Select(node.left, node.right, walk(node.inner))
-        if isinstance(node, flat.Lfp):
-            return dynamic.Lfp(node.var, walk(node.body))
-        raise TypeError(f"not a flat expression: {node!r}")
+        # same-named process class, fields in declaration order (atoms left to right)
+        return _PROCESS_OF[type(node)](
+            **{k: convert(v) if isinstance(v, Node) else v for k, v in vars(node).items()}
+        )
 
-    return walk(e)
+    return convert(e)
+
+
+_PROCESS_OF = {
+    cls: getattr(dynamic, cls.__name__)
+    for cls in (flat.Bottom, flat.ModuleVar, flat.Union, flat.Complement, flat.Project,
+                flat.Select, flat.Lfp)
+}
 
 
 @dataclass

@@ -53,6 +53,12 @@ class TestWellformed:
     def test_projection_scope_ok(self):
         assert check_wellformed(F.Project(frozenset({"P"}), F.Atom("M", ("P",)))) == []
 
+    def test_variable_at_two_arities_flagged(self):
+        inner = F.Select(Var("X"), Const.of([("a", "b")]), F.Atom("M", ("X",)))
+        violations = check_wellformed(F.Select(Var("X"), Const.of([("a",)]), inner))
+        assert len(violations) == 1
+        assert "arities" in violations[0].message
+
 
 class TestFreeVars:
     def test_atom(self):

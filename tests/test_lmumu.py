@@ -18,6 +18,7 @@ from modalg.core import (
 )
 from modalg.dynamic import eval_dyn
 from modalg.errors import UnboundSetVar
+from modalg.parser import parse_spec
 from modalg.lmumu import (
     eval_equality_test,
     eval_state,
@@ -29,7 +30,25 @@ def diag_states(edge_set):
     return {i for i, j in edge_set.pairs() if i == j}
 
 
+STAR_OVER_STATE_TEST = """
+domain {a};
+vocab {P/1, Q/1};
+module FullP(P0/1) = structures { {P0: {(a)}} };
+module Copy(A/1, B/1) = structures { {A: {}, B: {}}, {A: {(a)}, B: {(a)}} };
+dyn copyq = Copy(in P; out Q);
+state s = mu %s . prop FullP(P) | <((%s)? ; copyq)*> prop FullP(Q);
+"""
+
+
 class TestEvalState:
+    @pytest.mark.parametrize("var", ["W", "Zs"])
+    def test_star_does_not_capture_state_test_variable(self, var):
+        # the star's fresh variable must avoid set variables inside state tests
+        spec = parse_spec(STAR_OVER_STATE_TEST % (var, var))
+        u = build_universe(spec.domain, spec.vocabulary)
+        val = Valuation(spec.domain, {}, spec.modules)
+        assert len(eval_state(spec.state_defs["s"], val, u)) == 3
+
     def test_tautology(self, pq):
         _, _, u, val = pq
         assert len(eval_state(S.Or(PROP_FULLP, S.Not(PROP_FULLP)), val, u)) == 16
