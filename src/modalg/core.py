@@ -21,7 +21,7 @@ from .errors import (
     UnknownBuiltin,
     UnmappedVariable,
 )
-from .indexsets import IndexSet, submasks
+from .indexsets import IndexSet, cylinder, submasks
 
 DEFAULT_UNIVERSE_CAP = 20
 
@@ -459,12 +459,6 @@ class Universe:
             index |= self.encode_rel(name, value)
         return index
 
-    def variants(self, index: int, mask: int) -> Iterator[int]:
-        """All indices agreeing with `index` outside `mask` (mask bits free)."""
-        base = index & ~mask
-        for sub in submasks(mask):
-            yield base | sub
-
     def __len__(self) -> int:
         return self.size
 
@@ -574,17 +568,25 @@ def extension_index_set(
     if cache is not None and key in cache:
         return cache[key]
     vmask = universe.mask(symbols)
-    rest = universe.full_mask & ~vmask
-    members = set()
-    for pattern in submasks(vmask):
-        rels = [universe.rel_of_index(pattern, sym) for sym in symbols]
-        if module.accepts(universe.domain, rels):
-            for free in submasks(rest):
-                members.add(pattern | free)
-    result = IndexSet(universe.size, members)
+    accepted = [
+        pattern
+        for pattern in submasks(vmask)
+        if module.accepts(
+            universe.domain, [universe.rel_of_index(pattern, sym) for sym in symbols]
+        )
+    ]
+    result = cylinder(universe.size, accepted, universe.full_mask & ~vmask)
     if cache is not None:
         cache[key] = result
     return result
+
+
+def values_index_set(universe: Universe, values: Mapping[str, RelationValue]) -> IndexSet:
+    """Indices of the structures that interpret each given symbol by its value."""
+    pattern = 0
+    for sym, value in values.items():
+        pattern |= universe.encode_rel(sym, value)
+    return cylinder(universe.size, [pattern], universe.full_mask & ~universe.mask(values))
 
 
 def extension_of(module: AtomicModule, valuation: Valuation, universe: Universe) -> StructureSet:

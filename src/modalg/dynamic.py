@@ -1,14 +1,12 @@
 """The calculus of binary relations: actions with inertia, tests, binary
 fixed points, the derived operations, and transition-system construction.
 
-Edge sets live over universe-index pairs encoded as i * size + j, stored as
-possibly-complemented index sets so that complement costs nothing and the
-intersection sugar -(-a | -b) stays sparse.
+Edge sets are index sets over the pair space (see indexsets), so complement
+costs nothing and the intersection sugar -(-a | -b) stays sparse.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -17,16 +15,25 @@ from .core import (
     Universe,
     Valuation,
     extension_index_set,
+    values_index_set,
 )
 from .errors import (
     ArityMismatch,
-    CapExceeded,
     IllegalSelect,
     UnboundModuleVar,
     WellformednessError,
 )
 from .flat import Const, EvalStats, Var, Operand, _label, _lfp_indexsets, _select_filter
-from .indexsets import MATERIALIZE_LIMIT, IndexSet, submasks
+from .indexsets import (
+    IndexSet,
+    compose,
+    cylinder,
+    diagonal,
+    project,
+    restrict,
+    sources,
+    targets,
+)
 from .syntax import Node, map_children, walk
 
 
@@ -346,7 +353,7 @@ class TransitionSystem:
 
 
 class _DynContext:
-    __slots__ = ("valuation", "universe", "ext_cache", "stats", "record")
+    __slots__ = ("valuation", "universe", "ext_cache", "stats", "record", "labels")
 
     def __init__(self, valuation, universe, stats=None, record=None):
         self.valuation = valuation
@@ -354,18 +361,13 @@ class _DynContext:
         self.ext_cache: dict = {}
         self.stats = stats
         self.record = record  # dict[str, IndexSet] | None
+        self.labels: dict[ProcExpr, str] = {}  # printed once per distinct node
 
-
-def _diag_code(i: int, n: int) -> int:
-    return i * n + i
-
-
-def _diag_on(states: Iterable[int], n: int) -> IndexSet:
-    return IndexSet(n * n, (_diag_code(i, n) for i in states))
-
-
-def _full_diag(n: int) -> IndexSet:
-    return IndexSet(n * n, (_diag_code(i, n) for i in range(n)))
+    def label(self, node: ProcExpr) -> str:
+        text = self.labels.get(node)
+        if text is None:
+            text = self.labels[node] = _label(node)
+        return text
 
 
 def _atom_extension(ctx: _DynContext, module_name: str, args: tuple[str, ...]) -> IndexSet:
@@ -377,93 +379,6 @@ def _atom_extension(ctx: _DynContext, module_name: str, args: tuple[str, ...]) -
         )
     binding = {formal: val.symbol(arg) for (formal, _), arg in zip(module.vvoc, args)}
     return extension_index_set(u, module, binding, ctx.ext_cache)
-
-
-def _guard(count: int, what: str) -> None:
-    if count > MATERIALIZE_LIMIT:
-        raise CapExceeded(f"{what} would materialize {count} pairs (> {MATERIALIZE_LIMIT})")
-
-
-def _firsts(iset: IndexSet, n: int) -> set[int]:
-    """Sources that have at least one outgoing pair."""
-    if not iset.negated:
-        return {code // n for code in iset.members}
-    removed_rows: dict[int, int] = defaultdict(int)
-    for code in iset.members:
-        removed_rows[code // n] += 1
-    return {i for i in range(n) if removed_rows.get(i, 0) < n}
-
-
-def _seconds(iset: IndexSet, n: int) -> set[int]:
-    if not iset.negated:
-        return {code % n for code in iset.members}
-    removed_cols: dict[int, int] = defaultdict(int)
-    for code in iset.members:
-        removed_cols[code % n] += 1
-    return {j for j in range(n) if removed_cols.get(j, 0) < n}
-
-
-def _restrict_side(iset: IndexSet, n: int, states: IndexSet, side: int) -> IndexSet:
-    """Pairs of iset whose side-th component lies in `states` (side 0 = source)."""
-    if not iset.negated:
-        if side == 0:
-            return IndexSet(n * n, (c for c in iset.members if (c // n) in states))
-        return IndexSet(n * n, (c for c in iset.members if (c % n) in states))
-    _guard(len(states) * n, "selection over a complemented edge set")
-    members = set()
-    for s in states.indices():
-        base = s * n if side == 0 else s
-        step = 1 if side == 0 else n
-        for k in range(n):
-            code = base + k * step
-            if code not in iset.members:
-                members.add(code)
-    return IndexSet(n * n, members)
-
-
-def _project_pairs(iset: IndexSet, u: Universe, keep_mask: int) -> IndexSet:
-    """{(B1,B2): exists (C1,C2) in iset agreeing with (B1,B2) on keep_mask}."""
-    n = u.size
-    off = u.full_mask & ~keep_mask
-    off_bits = bin(off).count("1")
-    class_size = 1 << off_bits
-    if not iset.negated:
-        key_pairs = {((c // n) & keep_mask, (c % n) & keep_mask) for c in iset.members}
-        _guard(len(key_pairs) * class_size * class_size, "binary projection")
-        members = set()
-        subs = list(submasks(off))
-        for k1, k2 in key_pairs:
-            for f1 in subs:
-                row = (k1 | f1) * n
-                for f2 in subs:
-                    members.add(row + (k2 | f2))
-        return IndexSet(n * n, members)
-    removed_per_pair: dict[tuple[int, int], int] = defaultdict(int)
-    for c in iset.members:
-        removed_per_pair[((c // n) & keep_mask, (c % n) & keep_mask)] += 1
-    dead = [kp for kp, cnt in removed_per_pair.items() if cnt == class_size * class_size]
-    members = set()
-    subs = list(submasks(off))
-    for k1, k2 in dead:
-        for f1 in subs:
-            row = (k1 | f1) * n
-            for f2 in subs:
-                members.add(row + (k2 | f2))
-    return IndexSet(n * n, members, negated=True)
-
-
-def _compose_isets(a: IndexSet, b: IndexSet, n: int) -> IndexSet:
-    by_second: dict[int, list[int]] = defaultdict(list)
-    for code in a.indices():
-        by_second[code % n].append(code // n)
-    members = set()
-    for code in b.indices():
-        mid, j = divmod(code, n)
-        for i in by_second.get(mid, ()):
-            members.add(i * n + j)
-            if len(members) > MATERIALIZE_LIMIT:
-                raise CapExceeded("composition result too large")
-    return IndexSet(n * n, members)
 
 
 def eval_dyn(
@@ -479,9 +394,7 @@ def eval_dyn(
 
 def _record(ctx: _DynContext, node: ProcExpr, iset: IndexSet) -> IndexSet:
     if ctx.record is not None:
-        from .printer import to_text
-
-        ctx.record[to_text(node)] = iset
+        ctx.record[ctx.label(node)] = iset
     return iset
 
 
@@ -495,17 +408,14 @@ def _eval_dyn_inner(a: ProcExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
     if isinstance(a, Bottom):
         return IndexSet.empty(n * n)
     if isinstance(a, Test):
-        return _diag_on(_atom_extension(ctx, a.module, a.args).indices(), n)
+        return diagonal(_atom_extension(ctx, a.module, a.args))
     if isinstance(a, Action):
+        # (b1, b2) with b2 in the extension and b1 free only on the outputs
         ext = _atom_extension(ctx, a.module, a.args)
-        emask = u.mask({val.symbol(arg) for arg in a.outputs}) if a.outputs else 0
-        width = bin(emask).count("1")
-        _guard(len(ext) << width, f"action {a.module}")
-        members = set()
-        for b2 in ext.indices():
-            for b1 in u.variants(b2, emask):
-                members.add(b1 * n + b2)
-        return IndexSet(n * n, members)
+        emask = u.mask({val.symbol(arg) for arg in a.outputs})
+        bits = u.total_bits
+        keys = [((b2 & ~emask) << bits) | b2 for b2 in ext.indices()]
+        return cylinder(n * n, keys, emask << bits)
     if isinstance(a, ModuleVar):
         value = val.env.get(a.name)
         if not isinstance(value, EdgeSet):
@@ -517,8 +427,8 @@ def _eval_dyn_inner(a: ProcExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
         return _eval_dyn(a.inner, ctx, val).complement()
     if isinstance(a, Project):
         inner = _eval_dyn(a.inner, ctx, val)
-        keep_mask = u.mask(val.symbol(v) for v in a.keep)
-        return _project_pairs(inner, u, keep_mask)
+        off = u.full_mask & ~u.mask(val.symbol(v) for v in a.keep)
+        return project(inner, (off << u.total_bits) | off)
     if isinstance(a, Select):
         return _eval_select(a, ctx, val)
     if isinstance(a, Lfp):
@@ -529,49 +439,39 @@ def _eval_dyn_inner(a: ProcExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
 
         return _lfp_indexsets(step, n * n, lambda: _label(a), ctx.stats)
     if isinstance(a, Down):
-        inner = _eval_dyn(a.inner, ctx, val)
-        return _diag_on(_firsts(inner, n), n)
+        return diagonal(sources(_eval_dyn(a.inner, ctx, val)))
     if isinstance(a, Up):
-        inner = _eval_dyn(a.inner, ctx, val)
-        return _diag_on(_seconds(inner, n), n)
+        return diagonal(targets(_eval_dyn(a.inner, ctx, val)))
     if isinstance(a, UnaryNeg):
-        inner = _eval_dyn(a.inner, ctx, val)
-        return _diag_on(set(range(n)) - _firsts(inner, n), n)
+        return diagonal(sources(_eval_dyn(a.inner, ctx, val)).complement())
     if isinstance(a, Diagonal):
-        return _full_diag(n)
+        return diagonal(IndexSet.full(n))
     if isinstance(a, Compose):
-        return _compose_isets(_eval_dyn(a.left, ctx, val), _eval_dyn(a.right, ctx, val), n)
+        return compose(_eval_dyn(a.left, ctx, val), _eval_dyn(a.right, ctx, val))
     if isinstance(a, Count):
         inner = _eval_dyn(a.inner, ctx, val)
-        power = _full_diag(n)
+        power = diagonal(IndexSet.full(n))
         for _ in range(a.low):
-            power = _compose_isets(power, inner, n)
+            power = compose(power, inner)
         acc = power
         for _ in range(a.low, a.high):
-            power = _compose_isets(power, inner, n)
+            power = compose(power, inner)
             acc = acc.union(power)
         return acc
     if isinstance(a, Reverse):
         return _eval_dyn(flip_actions(a.inner), ctx, val)
     if isinstance(a, TestEq):
-        return _eval_dyn(a.inner, ctx, val).intersection(_full_diag(n))
+        return _eval_dyn(a.inner, ctx, val).intersection(diagonal(IndexSet.full(n)))
     if isinstance(a, TestNeq):
-        return _eval_dyn(a.inner, ctx, val).intersection(_full_diag(n).complement())
+        return _eval_dyn(a.inner, ctx, val).intersection(diagonal(IndexSet.full(n)).complement())
     if isinstance(a, ConstTest):
         sym = val.symbol(a.var)
-        arity = u.vocabulary.arity(sym)
-        value = a.value.value(arity)
-        pattern = u.encode_rel(sym, value)
-        mask = u.mask([sym])
-        states = {pattern | free for free in submasks(u.full_mask & ~mask)}
-        if a.equal:
-            return _diag_on(states, n)
-        return _diag_on(set(range(n)) - states, n)
+        states = values_index_set(u, {sym: a.value.value(u.vocabulary.arity(sym))})
+        return diagonal(states if a.equal else states.complement())
     if isinstance(a, StateTest):
         from .lmumu import _eval_state
 
-        states = _eval_state(a.phi, ctx, val)
-        return _diag_on(states.indices(), n)
+        return diagonal(_eval_state(a.phi, ctx, val))
     raise TypeError(f"not a process expression: {a!r}")
 
 
@@ -589,11 +489,9 @@ def _eval_select(a: Select, ctx: _DynContext, val: Valuation) -> IndexSet:
 
     l, r = a.left, a.right
     if is_in(l) and is_in(r):
-        sat = _select_filter(l, r, val, u)
-        return _restrict_side(inner, n, sat, side=0)
+        return restrict(inner, _select_filter(l, r, val, u), side=0)
     if is_out(l) and is_out(r):
-        sat = _select_filter(l, r, val, u)
-        return _restrict_side(inner, n, sat, side=1)
+        return restrict(inner, _select_filter(l, r, val, u), side=1)
     if isinstance(l, Var) and l.name in sigma and is_out(r):
         # feedback: guess the input L1 on the source to match L2 on the target
         l1_sym = val.symbol(l.name)
@@ -623,21 +521,6 @@ def _eval_select(a: Select, ctx: _DynContext, val: Valuation) -> IndexSet:
 # Transition systems
 
 
-def subformulas(a: ProcExpr) -> list[ProcExpr]:
-    """Postorder, duplicates removed by identity of canonical print; state
-    tests are labelled but not entered."""
-    from .printer import to_text
-
-    seen: set[str] = set()
-    out: list[ProcExpr] = []
-    for node in walk(a, ProcExpr):
-        key = to_text(node)
-        if key not in seen:
-            seen.add(key)
-            out.append(node)
-    return out
-
-
 def build_transition_system(
     a: ProcExpr,
     valuation: Valuation,
@@ -647,18 +530,20 @@ def build_transition_system(
     """Label the universe with the extension of every subformula of `a`.
 
     Subformulas under a fixed point are labelled with their converged
-    extension (the final iteration's value).
+    extension (the final iteration's value). Labels are canonical prints,
+    listed in post-order without repeats; state tests are labelled but not
+    entered.
     """
-    from .printer import to_text
-
     record: dict[str, IndexSet] = {}
     ctx = _DynContext(valuation, universe, stats, record)
     _eval_dyn(a, ctx, valuation)
-    nodes = subformulas(a)
     edges: dict[str, EdgeSet] = {}
-    order: list[str] = []
-    for node in nodes:
-        key = to_text(node)
+    seen: set[str] = set()
+    for node in walk(a, ProcExpr):
+        key = ctx.label(node)
+        if key in seen:
+            continue
+        seen.add(key)
         if key not in record:
             # e.g. the as-written operand of a reverse; evaluate it directly
             try:
@@ -666,5 +551,4 @@ def build_transition_system(
             except UnboundModuleVar:
                 continue  # open subterm of a reversed fixed point; unlabelable
         edges[key] = EdgeSet(universe, record[key])
-        order.append(key)
-    return TransitionSystem(universe, edges, tuple(order))
+    return TransitionSystem(universe, edges, tuple(edges))

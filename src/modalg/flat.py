@@ -23,7 +23,7 @@ from .errors import (
     UnboundModuleVar,
     WellformednessError,
 )
-from .indexsets import IndexSet, submasks
+from .indexsets import IndexSet, cylinder, project, submasks
 from .syntax import Node, children, walk
 
 
@@ -248,7 +248,6 @@ def _select_filter(
         if s not in u.vocabulary:
             raise ArityMismatch(f"selection operand {v} maps to unknown symbol {s}")
     mask = u.mask(syms)
-    rest = u.full_mask & ~mask
 
     def val_of(op: Operand, pattern: int) -> frozenset:
         if isinstance(op, Var):
@@ -258,36 +257,8 @@ def _select_filter(
             arity = u.vocabulary.arity(syms[0])
         return op.value(arity).tuples
 
-    members = set()
-    for pattern in submasks(mask):
-        if val_of(left, pattern) == val_of(right, pattern):
-            for free in submasks(rest):
-                members.add(pattern | free)
-    return IndexSet(u.size, members)
-
-
-def _project_iset(inner: IndexSet, u: Universe, keep_mask: int) -> IndexSet:
-    """{A : exists A' in inner with A agreeing on keep_mask}."""
-    off = u.full_mask & ~keep_mask
-    if not inner.negated:
-        keys = {i & keep_mask for i in inner.members}
-        members = set()
-        for key in keys:
-            for free in submasks(off):
-                members.add(key | free)
-        return IndexSet(u.size, members)
-    # complemented: a keep-class survives unless every member was removed
-    class_size = 1 << bin(off).count("1")
-    removed_per_class: dict[int, int] = {}
-    for i in inner.members:
-        key = i & keep_mask
-        removed_per_class[key] = removed_per_class.get(key, 0) + 1
-    dead = [key for key, n in removed_per_class.items() if n == class_size]
-    members = set()
-    for key in dead:
-        for free in submasks(off):
-            members.add(key | free)
-    return IndexSet(u.size, members, negated=True)
+    equal = [p for p in submasks(mask) if val_of(left, p) == val_of(right, p)]
+    return cylinder(u.size, equal, u.full_mask & ~mask)
 
 
 def _check_injective(e: FlatExpr, valuation: Valuation) -> None:
@@ -374,7 +345,7 @@ def _eval(
     if isinstance(e, Project):
         inner = _eval(e.inner, valuation, u, ext_cache, stats)
         keep_mask = u.mask(valuation.symbol(v) for v in e.keep)
-        return _project_iset(inner, u, keep_mask)
+        return project(inner, u.full_mask & ~keep_mask)
     if isinstance(e, Select):
         inner = _eval(e.inner, valuation, u, ext_cache, stats)
         return inner.intersection(_select_filter(e.left, e.right, valuation, u))

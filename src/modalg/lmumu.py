@@ -13,7 +13,7 @@ from .core import Structure, StructureSet, Universe, Valuation
 from .dynamic import ProcExpr, _DynContext
 from .errors import UnboundSetVar, UnsafeRule
 from .flat import EvalStats, _label, _lfp_indexsets
-from .indexsets import IndexSet
+from .indexsets import IndexSet, preimage
 from .syntax import Node, map_children, walk
 
 
@@ -97,25 +97,8 @@ def eval_state(
     return StructureSet(universe, _eval_state(phi, ctx, valuation))
 
 
-def _diamond_states(edges: IndexSet, targets: IndexSet, n: int) -> IndexSet:
-    """{A : exists B with (A,B) an edge and B a target}."""
-    if not edges.negated:
-        return IndexSet(n, (c // n for c in edges.members if (c % n) in targets))
-    # complemented edges: A qualifies unless every (A, target) pair was removed
-    goal_count = len(targets)
-    if goal_count == 0:
-        return IndexSet.empty(n)
-    removed: dict[int, int] = {}
-    for c in edges.members:
-        if (c % n) in targets:
-            i = c // n
-            removed[i] = removed.get(i, 0) + 1
-    return IndexSet(n, (i for i in range(n) if removed.get(i, 0) < goal_count))
-
-
 def _eval_state(phi: StateExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
     u = ctx.universe
-    n = u.size
     if isinstance(phi, Prop):
         return dynamic._atom_extension(ctx, phi.module, phi.args)
     if isinstance(phi, SetVar):
@@ -132,18 +115,18 @@ def _eval_state(phi: StateExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
     if isinstance(phi, Diamond):
         edges = dynamic._eval_dyn(phi.process, ctx, val)
         targets = _eval_state(phi.inner, ctx, val)
-        return _diamond_states(edges, targets, n)
+        return preimage(edges, targets)
     if isinstance(phi, Box):
         edges = dynamic._eval_dyn(phi.process, ctx, val)
         bad = _eval_state(phi.inner, ctx, val).complement()
-        return _diamond_states(edges, bad, n).complement()
+        return preimage(edges, bad).complement()
     if isinstance(phi, Lfp):
 
         def step(current: IndexSet) -> IndexSet:
             bound = val.bind(phi.var, StructureSet(u, current))
             return _eval_state(phi.body, ctx, bound)
 
-        return _lfp_indexsets(step, n, lambda: _label(phi), ctx.stats)
+        return _lfp_indexsets(step, u.size, lambda: _label(phi), ctx.stats)
     raise TypeError(f"not a state expression: {phi!r}")
 
 

@@ -26,6 +26,7 @@ from .core import (
     Vocabulary,
     all_relation_values,
     build_universe,
+    values_index_set,
 )
 from .core import DEFAULT_UNIVERSE_CAP
 from .errors import (
@@ -171,12 +172,12 @@ def _sat3(
             return True
         return None
     if isinstance(e, flat.Project):
-        keep_syms = {valuation.symbol(v) for v in e.keep}
+        # a kept variable the body does not use constrains nothing
+        used = {valuation.symbol(v) for v in occurring_vars(e.inner)}
+        keep_syms = {valuation.symbol(v) for v in e.keep} & used
         if not keep_syms <= set(rels):
             return None
-        hidden = sorted(
-            {valuation.symbol(v) for v in occurring_vars(e.inner)} - keep_syms
-        )
+        hidden = sorted(used - keep_syms)
         base = {s: rels[s] for s in keep_syms}
         return _exists_expansion(e.inner, base, hidden, domain, vocab, valuation)
     raise ModalgError(
@@ -654,22 +655,6 @@ def temp_sat_prop(
     return None
 
 
-def _goal_states(
-    universe: Universe, valuation: Valuation, goal: Mapping[str, RelationValue]
-) -> list[int]:
-    """States whose designated symbols carry exactly the goal values."""
-    pattern = 0
-    mask = 0
-    for var, value in goal.items():
-        sym = valuation.symbol(var)
-        pattern |= universe.encode_rel(sym, value)
-        mask |= universe.mask([sym])
-    free = universe.full_mask & ~mask
-    from .indexsets import submasks
-
-    return [pattern | f for f in submasks(free)]
-
-
 def reach(
     a: dynamic.ProcExpr,
     structure: Structure,
@@ -687,7 +672,10 @@ def reach(
     ts = dynamic.build_transition_system(a, valuation, universe)
     edges = ts.edges[to_text(a)]
     source = universe.index_of(structure)
-    return any(edges.contains(source, j) for j in _goal_states(universe, valuation, goal))
+    goal_states = values_index_set(
+        universe, {valuation.symbol(var): value for var, value in goal.items()}
+    )
+    return any(edges.contains(source, j) for j in goal_states.indices())
 
 
 # ---------------------------------------------------------------------------

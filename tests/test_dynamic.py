@@ -472,3 +472,23 @@ class TestTransitionSystem:
         body_key = to_text(star.body)
         assert ts.edges[to_text(star)] == closure
         assert ts.edges[body_key] == closure  # body at the converged variable
+
+    def test_each_label_printed_once(self, monkeypatch):
+        # a star over a two-action union iterates its fixpoint; every distinct
+        # subformula is still printed exactly once per build
+        from modalg import printer
+
+        domain = Domain(("a",))
+        u = build_universe(domain, Vocabulary((("P", 1), ("Q", 1), ("R", 1))))
+        val = Valuation(domain, {}, {"Copy": AtomicModule.builtin(
+            "Copy", [("A", 1), ("B", 1)], fn=lambda d, rels: rels[0] == rels[1])})
+        star = kleene_star(D.Union(
+            D.Action("Copy", ("P", "Q"), frozenset({"P"}), frozenset({"Q"})),
+            D.Action("Copy", ("Q", "R"), frozenset({"Q"}), frozenset({"R"})),
+        ))
+        calls = []
+        original = printer.to_text
+        monkeypatch.setattr(printer, "to_text", lambda e: calls.append(e) or original(e))
+        ts = build_transition_system(star, val, u)
+        assert len(ts.order) == 8
+        assert len(calls) == len(ts.order)

@@ -1,11 +1,13 @@
 """Error paths promised by the module contracts."""
 
+import time
+
 import pytest
 
 from conftest import structure_pq
 from modalg import dynamic as D
 from modalg import flat as F
-from modalg.core import Domain, Structure, Vocabulary
+from modalg.core import AtomicModule, Domain, Structure, Valuation, Vocabulary, build_universe
 from modalg.errors import (
     CapExceeded,
     IncompleteStructure,
@@ -66,3 +68,16 @@ def test_mx_expansion_limit(pq):
     empty = Structure.make(domain, sigma_vocab, {})
     with pytest.raises(CapExceeded):
         mx(F.Complement(F.Bottom()), frozenset(), empty, val, vocab, limit=3)
+
+
+def test_oversized_extension_refused_before_enumeration():
+    # 24 bits: Ne(P0) would hold 3 << 22 = 12,582,912 members
+    domain = Domain(("a", "b"))
+    vocab = Vocabulary(tuple((f"P{k}", 1) for k in range(12)))
+    u = build_universe(domain, vocab, cap=24)
+    ne = AtomicModule.builtin("Ne", [("A", 1)], fn=lambda d, rels: bool(rels[0].tuples))
+    val = Valuation(domain, {}, {"Ne": ne})
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        eval_flat(F.Atom("Ne", ("P0",)), val, u)
+    assert time.perf_counter() - start < 1.0

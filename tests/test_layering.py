@@ -1,0 +1,53 @@
+"""The set representation is known to indexsets.py alone.
+
+Every other module goes through IndexSet's methods and the operations next to
+it; none reads the stored members or the complement flag, or enforces the
+enumeration limit itself. `submasks` is used outside indexsets.py only to
+enumerate slot patterns for an oracle or a selection.
+"""
+
+import ast
+from pathlib import Path
+
+import modalg
+
+SOURCES = sorted(Path(modalg.__file__).parent.glob("*.py"))
+SUBMASK_USERS = {("core.py", "extension_index_set"), ("flat.py", "_select_filter")}
+
+
+def _uses(path):
+    """(kind, name, enclosing function) for every attribute read, name and
+    imported name."""
+    out = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute):
+            out.append(("attribute", node.attr, function))
+        elif isinstance(node, ast.Name):
+            out.append(("name", node.id, function))
+        elif isinstance(node, ast.alias):
+            out.append(("name", node.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return out
+
+
+def test_representation_confined_to_indexsets():
+    assert any(path.name == "indexsets.py" for path in SOURCES)
+    leaks = []
+    for path in SOURCES:
+        if path.name == "indexsets.py":
+            continue
+        for kind, name, function in _uses(path):
+            if kind == "attribute" and name in ("negated", "members"):
+                leaks.append((path.name, function, name))
+            elif name == "MATERIALIZE_LIMIT":
+                leaks.append((path.name, function, name))
+            elif name == "submasks" and function is not None:
+                if (path.name, function) not in SUBMASK_USERS:
+                    leaks.append((path.name, function, name))
+    assert leaks == []

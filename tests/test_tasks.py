@@ -81,6 +81,21 @@ class TestMc:
                 assert mc(e, u.structure_at(i), val) == (i in sat)
 
 
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_projection_keeping_unused_variable(self, with_w):
+        domain = Domain(("a", "b"))
+        ne = AtomicModule.builtin("Ne", [("A", 1)], fn=lambda d, rels: bool(rels[0].tuples))
+        val = Valuation(domain, {}, {"Ne": ne})
+        inner = F.Atom("Ne", ("X",))
+        nested = F.Project(frozenset({"X"}), F.Project(frozenset({"X", "W"}), inner))
+        symbols = (("X", 1), ("W", 1)) if with_w else (("X", 1),)
+        for x in ([], [("a",)]):
+            interpretation = {"X": x, "W": [("b",)]} if with_w else {"X": x}
+            s = Structure.make(domain, Vocabulary(symbols), interpretation)
+            assert mc(nested, s, val) == mc(F.Project(frozenset({"X"}), inner), s, val)
+            assert mc(nested, s, val) == bool(x)
+
+
 class TestMx:
     def test_two_col_on_c4(self):
         # oracle: brute force over all (Z, T) assignments
