@@ -497,10 +497,6 @@ class StructureSet:
     def of_indices(cls, universe: Universe, indices: Iterable[int]) -> "StructureSet":
         return cls(universe, IndexSet(universe.size, indices))
 
-    @classmethod
-    def of_structures(cls, universe: Universe, structures: Iterable[Structure]) -> "StructureSet":
-        return cls.of_indices(universe, (universe.index_of(s) for s in structures))
-
     def indices(self) -> Iterator[int]:
         return self.iset.indices()
 

@@ -10,20 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .core import (
-    RelationValue,
-    Universe,
-    Valuation,
-    extension_index_set,
-    values_index_set,
-)
+from .core import RelationValue, Universe, Valuation, values_index_set
 from .errors import (
-    ArityMismatch,
     IllegalSelect,
     UnboundModuleVar,
     WellformednessError,
 )
-from .flat import Const, EvalStats, Var, Operand, _label, _lfp_indexsets, _select_filter
+from .flat import Const, EvalContext, EvalStats, Var, Operand, _evaluator, _select_filter
 from .indexsets import (
     IndexSet,
     compose,
@@ -34,7 +27,7 @@ from .indexsets import (
     sources,
     targets,
 )
-from .syntax import Node, map_children, walk
+from .syntax import Node, children, map_children, walk
 
 
 class ProcExpr(Node):
@@ -236,43 +229,15 @@ def flip_actions(a: ProcExpr) -> ProcExpr:
 
 
 def io_vocab(a: ProcExpr) -> tuple[frozenset[str], frozenset[str]]:
-    """(free input variables, free output variables) of a process expression."""
-    if isinstance(a, (Bottom, ModuleVar, Diagonal)):
-        return frozenset(), frozenset()
+    """(free input variables, free output variables) of a process expression.
+
+    Unless a case below says otherwise, the union of the subterms' vocabularies.
+    """
     if isinstance(a, Test):
         vs = frozenset(a.args)
         return vs, vs
     if isinstance(a, Action):
         return a.inputs, a.outputs
-    if isinstance(a, Union):
-        ls, le = io_vocab(a.left)
-        rs, re = io_vocab(a.right)
-        return ls | rs, le | re
-    if isinstance(a, (Complement, Select)):
-        return io_vocab(a.inner)
-    if isinstance(a, Project):
-        s, e = io_vocab(a.inner)
-        return s & a.keep, e & a.keep
-    if isinstance(a, Lfp):
-        return io_vocab(a.body)
-    if isinstance(a, (Down, UnaryNeg)):
-        s, _ = io_vocab(a.inner)
-        return s, s
-    if isinstance(a, Up):
-        _, e = io_vocab(a.inner)
-        return e, e
-    if isinstance(a, Compose):
-        ls, le = io_vocab(a.left)
-        rs, re = io_vocab(a.right)
-        return ls | rs, le | re
-    if isinstance(a, Count):
-        return io_vocab(a.inner)
-    if isinstance(a, Reverse):
-        s, e = io_vocab(a.inner)
-        return e, s
-    if isinstance(a, (TestEq, TestNeq)):
-        s, e = io_vocab(a.inner)
-        return s | e, s | e
     if isinstance(a, ConstTest):
         return frozenset({a.var}), frozenset({a.var})
     if isinstance(a, StateTest):
@@ -280,7 +245,27 @@ def io_vocab(a: ProcExpr) -> tuple[frozenset[str], frozenset[str]]:
 
         vs = state_vars(a.phi)
         return vs, vs
-    raise TypeError(f"not a process expression: {a!r}")
+    if isinstance(a, Project):
+        s, e = io_vocab(a.inner)
+        return s & a.keep, e & a.keep
+    if isinstance(a, (Down, UnaryNeg)):
+        s, _ = io_vocab(a.inner)
+        return s, s
+    if isinstance(a, Up):
+        _, e = io_vocab(a.inner)
+        return e, e
+    if isinstance(a, Reverse):
+        s, e = io_vocab(a.inner)
+        return e, s
+    if isinstance(a, (TestEq, TestNeq)):
+        s, e = io_vocab(a.inner)
+        return s | e, s | e
+    ins: frozenset[str] = frozenset()
+    outs: frozenset[str] = frozenset()
+    for child in children(a):
+        s, e = io_vocab(child)
+        ins, outs = ins | s, outs | e
+    return ins, outs
 
 
 # ---------------------------------------------------------------------------
@@ -352,35 +337,6 @@ class TransitionSystem:
 # Evaluation
 
 
-class _DynContext:
-    __slots__ = ("valuation", "universe", "ext_cache", "stats", "record", "labels")
-
-    def __init__(self, valuation, universe, stats=None, record=None):
-        self.valuation = valuation
-        self.universe = universe
-        self.ext_cache: dict = {}
-        self.stats = stats
-        self.record = record  # dict[str, IndexSet] | None
-        self.labels: dict[ProcExpr, str] = {}  # printed once per distinct node
-
-    def label(self, node: ProcExpr) -> str:
-        text = self.labels.get(node)
-        if text is None:
-            text = self.labels[node] = _label(node)
-        return text
-
-
-def _atom_extension(ctx: _DynContext, module_name: str, args: tuple[str, ...]) -> IndexSet:
-    val, u = ctx.valuation, ctx.universe
-    module = val.module(module_name)
-    if len(args) != len(module.vvoc):
-        raise ArityMismatch(
-            f"atom {module_name} has {len(args)} arguments, vvoc has {len(module.vvoc)}"
-        )
-    binding = {formal: val.symbol(arg) for (formal, _), arg in zip(module.vvoc, args)}
-    return extension_index_set(u, module, binding, ctx.ext_cache)
-
-
 def eval_dyn(
     a: ProcExpr,
     valuation: Valuation,
@@ -388,30 +344,27 @@ def eval_dyn(
     stats: Optional[EvalStats] = None,
 ) -> EdgeSet:
     """Extension of a process expression as a set of structure pairs."""
-    ctx = _DynContext(valuation, universe, stats)
-    return EdgeSet(universe, _eval_dyn(a, ctx, valuation))
+    return EdgeSet(universe, _eval_dyn(a, EvalContext(universe, stats), valuation))
 
 
-def _record(ctx: _DynContext, node: ProcExpr, iset: IndexSet) -> IndexSet:
+def _eval_dyn(a: ProcExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
+    iset = _eval_dyn_inner(a, ctx, val)
     if ctx.record is not None:
-        ctx.record[ctx.label(node)] = iset
+        ctx.record[ctx.label(a)] = iset
     return iset
 
 
-def _eval_dyn(a: ProcExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
-    return _record(ctx, a, _eval_dyn_inner(a, ctx, val))
-
-
-def _eval_dyn_inner(a: ProcExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
+@_evaluator
+def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
     u = ctx.universe
     n = u.size
     if isinstance(a, Bottom):
         return IndexSet.empty(n * n)
     if isinstance(a, Test):
-        return diagonal(_atom_extension(ctx, a.module, a.args))
+        return diagonal(ctx.extension(a, val))
     if isinstance(a, Action):
         # (b1, b2) with b2 in the extension and b1 free only on the outputs
-        ext = _atom_extension(ctx, a.module, a.args)
+        ext = ctx.extension(a, val)
         emask = u.mask({val.symbol(arg) for arg in a.outputs})
         bits = u.total_bits
         keys = [((b2 & ~emask) << bits) | b2 for b2 in ext.indices()]
@@ -432,12 +385,7 @@ def _eval_dyn_inner(a: ProcExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
     if isinstance(a, Select):
         return _eval_select(a, ctx, val)
     if isinstance(a, Lfp):
-
-        def step(current: IndexSet) -> IndexSet:
-            bound = val.bind(a.var, EdgeSet(u, current))
-            return _eval_dyn(a.body, ctx, bound)
-
-        return _lfp_indexsets(step, n * n, lambda: _label(a), ctx.stats)
+        return ctx.fixpoint(a, val, _eval_dyn, EdgeSet)
     if isinstance(a, Down):
         return diagonal(sources(_eval_dyn(a.inner, ctx, val)))
     if isinstance(a, Up):
@@ -475,7 +423,7 @@ def _eval_dyn_inner(a: ProcExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
     raise TypeError(f"not a process expression: {a!r}")
 
 
-def _eval_select(a: Select, ctx: _DynContext, val: Valuation) -> IndexSet:
+def _eval_select(a: Select, ctx: EvalContext, val: Valuation) -> IndexSet:
     u = ctx.universe
     n = u.size
     sigma, epsilon = io_vocab(a.inner)
@@ -535,7 +483,7 @@ def build_transition_system(
     entered.
     """
     record: dict[str, IndexSet] = {}
-    ctx = _DynContext(valuation, universe, stats, record)
+    ctx = EvalContext(universe, stats, record)
     _eval_dyn(a, ctx, valuation)
     edges: dict[str, EdgeSet] = {}
     seen: set[str] = set()

@@ -10,7 +10,13 @@ class ModalgError(Exception):
 
 
 class CapExceeded(ModalgError):
-    """The instance is too large for explicit enumeration."""
+    """The instance is too large for explicit enumeration.
+
+    Raised during an evaluation, `node` is the innermost node being evaluated
+    and the message ends with its label.
+    """
+
+    node = None
 
 
 class ArityMismatch(ModalgError):

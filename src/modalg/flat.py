@@ -19,6 +19,7 @@ from .core import (
 )
 from .errors import (
     ArityMismatch,
+    CapExceeded,
     NonMonotoneDetected,
     UnboundModuleVar,
     WellformednessError,
@@ -232,6 +233,70 @@ class EvalStats:
         )
 
 
+class EvalContext:
+    """What one evaluation shares across the flat, process and state sorts.
+
+    The universe, the atom-extension cache, the optional EvalStats, the
+    optional transition-system record (label -> index set) and the label
+    memo, which prints each distinct node once.
+    """
+
+    __slots__ = ("universe", "ext_cache", "stats", "record", "labels")
+
+    def __init__(self, universe: Universe, stats: Optional[EvalStats] = None, record=None):
+        self.universe = universe
+        self.ext_cache: dict = {}
+        self.stats = stats
+        self.record = record
+        self.labels: dict[Node, str] = {}
+
+    def label(self, node: Node) -> str:
+        text = self.labels.get(node)
+        if text is None:
+            text = self.labels[node] = _label(node)
+        return text
+
+    def extension(self, node: Node, val: Valuation) -> IndexSet:
+        """The atom rule: node.module with its variable vocabulary bound
+        positionally to node.args (flat atoms, tests, actions, propositions)."""
+        module = val.module(node.module)
+        if len(node.args) != len(module.vvoc):
+            raise ArityMismatch(
+                f"atom {node.module} has {len(node.args)} arguments, "
+                f"vvoc has {len(module.vvoc)}"
+            )
+        binding = {formal: val.symbol(arg) for (formal, _), arg in zip(module.vvoc, node.args)}
+        return extension_index_set(self.universe, module, binding, self.ext_cache)
+
+    def fixpoint(self, node: Node, val: Valuation, evaluate, box) -> IndexSet:
+        """Least fixed point of node.body in node.var. `evaluate` is the
+        sort's evaluator; `box` (StructureSet or EdgeSet) wraps an iterate
+        for binding."""
+        u = self.universe
+
+        def step(current: IndexSet) -> IndexSet:
+            return evaluate(node.body, self, val.bind(node.var, box(u, current)))
+
+        space = box.empty(u).iset.space
+        return _lfp_indexsets(step, space, lambda: self.label(node), self.stats)
+
+
+def _evaluator(evaluate):
+    """Recursion entry of an evaluator `evaluate(node, ctx, val)`: a
+    CapExceeded raised below it names the innermost node being evaluated."""
+
+    def entry(node, ctx: EvalContext, val: Valuation) -> IndexSet:
+        try:
+            return evaluate(node, ctx, val)
+        except CapExceeded as exc:
+            if exc.node is None:
+                exc.node = node
+                exc.args = (f"{exc} (in: {ctx.label(node)})",)
+            raise
+
+    return entry
+
+
 def _select_filter(
     left: Operand, right: Operand, valuation: Valuation, u: Universe
 ) -> IndexSet:
@@ -307,55 +372,34 @@ def eval_flat(
 ) -> StructureSet:
     """Extension of a flat expression: the set of satisfying structures."""
     _check_injective(e, valuation)
-    cache: dict = {}
-    iset = _eval(e, valuation, universe, cache, stats)
-    return StructureSet(universe, iset)
+    return StructureSet(universe, _eval(e, EvalContext(universe, stats), valuation))
 
 
-def _eval(
-    e: FlatExpr,
-    valuation: Valuation,
-    u: Universe,
-    ext_cache: dict,
-    stats: Optional[EvalStats],
-) -> IndexSet:
+@_evaluator
+def _eval(e: FlatExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
+    u = ctx.universe
     if isinstance(e, Bottom):
         return IndexSet.empty(u.size)
     if isinstance(e, Atom):
-        module = valuation.module(e.module)
-        if len(e.args) != len(module.vvoc):
-            raise ArityMismatch(
-                f"atom {e.module} has {len(e.args)} arguments, vvoc has {len(module.vvoc)}"
-            )
-        binding = {
-            formal: valuation.symbol(arg) for (formal, _), arg in zip(module.vvoc, e.args)
-        }
-        return extension_index_set(u, module, binding, ext_cache)
+        return ctx.extension(e, val)
     if isinstance(e, ModuleVar):
-        value = valuation.env.get(e.name)
+        value = val.env.get(e.name)
         if not isinstance(value, StructureSet):
             raise UnboundModuleVar(f"module variable {e.name} is not bound to a structure set")
         return value.iset
     if isinstance(e, Union):
-        return _eval(e.left, valuation, u, ext_cache, stats).union(
-            _eval(e.right, valuation, u, ext_cache, stats)
-        )
+        return _eval(e.left, ctx, val).union(_eval(e.right, ctx, val))
     if isinstance(e, Complement):
-        return _eval(e.inner, valuation, u, ext_cache, stats).complement()
+        return _eval(e.inner, ctx, val).complement()
     if isinstance(e, Project):
-        inner = _eval(e.inner, valuation, u, ext_cache, stats)
-        keep_mask = u.mask(valuation.symbol(v) for v in e.keep)
+        inner = _eval(e.inner, ctx, val)
+        keep_mask = u.mask(val.symbol(v) for v in e.keep)
         return project(inner, u.full_mask & ~keep_mask)
     if isinstance(e, Select):
-        inner = _eval(e.inner, valuation, u, ext_cache, stats)
-        return inner.intersection(_select_filter(e.left, e.right, valuation, u))
+        inner = _eval(e.inner, ctx, val)
+        return inner.intersection(_select_filter(e.left, e.right, val, u))
     if isinstance(e, Lfp):
-
-        def step(current: IndexSet) -> IndexSet:
-            bound = valuation.bind(e.var, StructureSet(u, current))
-            return _eval(e.body, bound, u, ext_cache, stats)
-
-        return _lfp_indexsets(step, u.size, lambda: _label(e), stats)
+        return ctx.fixpoint(e, val, _eval, StructureSet)
     raise TypeError(f"not a flat expression: {e!r}")
 
 

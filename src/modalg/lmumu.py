@@ -10,9 +10,9 @@ from typing import Mapping, Optional, Union as TUnion
 
 from . import dynamic
 from .core import Structure, StructureSet, Universe, Valuation
-from .dynamic import ProcExpr, _DynContext
+from .dynamic import ProcExpr
 from .errors import UnboundSetVar, UnsafeRule
-from .flat import EvalStats, _label, _lfp_indexsets
+from .flat import EvalContext, EvalStats, _evaluator
 from .indexsets import IndexSet, preimage
 from .syntax import Node, map_children, walk
 
@@ -93,14 +93,13 @@ def eval_state(
     stats: Optional[EvalStats] = None,
 ) -> StructureSet:
     """The set of states satisfying the formula."""
-    ctx = _DynContext(valuation, universe, stats)
-    return StructureSet(universe, _eval_state(phi, ctx, valuation))
+    return StructureSet(universe, _eval_state(phi, EvalContext(universe, stats), valuation))
 
 
-def _eval_state(phi: StateExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
-    u = ctx.universe
+@_evaluator
+def _eval_state(phi: StateExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
     if isinstance(phi, Prop):
-        return dynamic._atom_extension(ctx, phi.module, phi.args)
+        return ctx.extension(phi, val)
     if isinstance(phi, SetVar):
         value = val.env.get(phi.name)
         if not isinstance(value, StructureSet):
@@ -121,12 +120,7 @@ def _eval_state(phi: StateExpr, ctx: _DynContext, val: Valuation) -> IndexSet:
         bad = _eval_state(phi.inner, ctx, val).complement()
         return preimage(edges, bad).complement()
     if isinstance(phi, Lfp):
-
-        def step(current: IndexSet) -> IndexSet:
-            bound = val.bind(phi.var, StructureSet(u, current))
-            return _eval_state(phi.body, ctx, bound)
-
-        return _lfp_indexsets(step, u.size, lambda: _label(phi), ctx.stats)
+        return ctx.fixpoint(phi, val, _eval_state, StructureSet)
     raise TypeError(f"not a state expression: {phi!r}")
 
 

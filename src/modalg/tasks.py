@@ -3,10 +3,12 @@ satisfiability, generalized evaluation, query evaluation via the
 singleton encoding, the temporal tasks, reachability, and the three-way
 equivalence report.
 
-mc/mx/ev/qe work directly on structures (no universe): model checking is a
-recursion, projection searches only the hidden symbols, and expansions are
-found by DFS with three-valued pruning. Formulas with fixed points or free
-module variables fall back to an explicit universe.
+mc, mx, ev and sat_bounded all ask one generator, `_models`, for the
+structures that satisfy a formula and agree with some fixed symbols. It is
+the one place that chooses how: directly on structures (no universe), where
+model checking is a recursion, projection searches only the hidden symbols,
+and expansions are found by DFS with three-valued pruning; or, for formulas
+with fixed points or free module variables, over an explicit universe.
 """
 
 from __future__ import annotations
@@ -118,13 +120,6 @@ def _atom_binding(node: flat.Atom, valuation: Valuation) -> list[tuple[str, str,
     ]
 
 
-def _sat(e: FlatExpr, rels: Mapping[str, RelationValue], domain: Domain,
-         vocab: Vocabulary, valuation: Valuation) -> bool:
-    value = _sat3(e, rels, domain, vocab, valuation)
-    assert value is not None, "three-valued check must be definite on total structures"
-    return value
-
-
 def _sat3(
     e: FlatExpr,
     rels: Mapping[str, RelationValue],
@@ -179,7 +174,8 @@ def _sat3(
             return None
         hidden = sorted(used - keep_syms)
         base = {s: rels[s] for s in keep_syms}
-        return _exists_expansion(e.inner, base, hidden, domain, vocab, valuation)
+        witness = next(_dfs_expansions(e.inner, base, hidden, domain, vocab, valuation), None)
+        return witness is not None
     raise ModalgError(
         f"{type(e).__name__} needs the explicit universe; structure-level check refused"
     )
@@ -200,27 +196,6 @@ def _theta3(left, right, rels: Mapping[str, RelationValue], valuation: Valuation
     return lt == rt
 
 
-def _exists_expansion(
-    e: FlatExpr,
-    base: dict[str, RelationValue],
-    symbols: Sequence[str],
-    domain: Domain,
-    vocab: Vocabulary,
-    valuation: Valuation,
-) -> bool:
-    value = _sat3(e, base, domain, vocab, valuation)
-    if value is not None:
-        return value
-    sym = symbols[0]
-    for rv in all_relation_values(domain, vocab.arity(sym)):
-        base[sym] = rv
-        if _exists_expansion(e, base, symbols[1:], domain, vocab, valuation):
-            del base[sym]
-            return True
-        del base[sym]
-    return False
-
-
 def _dfs_expansions(
     e: FlatExpr,
     base: dict[str, RelationValue],
@@ -233,21 +208,39 @@ def _dfs_expansions(
     value = _sat3(e, base, domain, vocab, valuation)
     if value is False:
         return
-    if value is True:
-        for combo in itertools.product(
-            *(all_relation_values(domain, vocab.arity(s)) for s in symbols)
-        ):
-            full = dict(base)
-            full.update(zip(symbols, combo))
-            yield full
-        return
     if not symbols:
+        if value:
+            yield dict(base)
         return
+    if value:
+        e = flat.Complement(flat.Bottom())  # decided: every completion satisfies e
     sym = symbols[0]
     for rv in all_relation_values(domain, vocab.arity(sym)):
         base[sym] = rv
         yield from _dfs_expansions(e, base, symbols[1:], domain, vocab, valuation)
         del base[sym]
+
+
+def _models(
+    e: FlatExpr,
+    valuation: Valuation,
+    domain: Domain,
+    vocab: Vocabulary,
+    fixed: Mapping[str, RelationValue],
+) -> Iterator[Structure]:
+    """Structures over domain and vocab that satisfy e and interpret each
+    fixed symbol by its given value, in canonical order."""
+    if _needs_universe(e):
+        universe = build_universe(domain, vocab)
+        sat = flat.eval_flat(e, valuation, universe).iset
+        if fixed:
+            sat = sat.intersection(values_index_set(universe, fixed))
+        for i in sat.indices():
+            yield universe.structure_at(i)
+        return
+    free = [n for n in vocab.names if n not in fixed]
+    for rels in _dfs_expansions(e, dict(fixed), free, domain, vocab, valuation):
+        yield Structure.make(domain, vocab, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +253,9 @@ def mc(e: FlatExpr, structure: Structure, valuation: Valuation) -> bool:
     missing = needed - set(structure.vocabulary.names)
     if missing:
         raise IncompleteStructure(f"structure does not interpret {sorted(missing)}")
-    if _needs_universe(e):
-        universe = build_universe(structure.domain, structure.vocabulary)
-        return structure in flat.eval_flat(e, valuation, universe)
     rels = {name: structure.rel(name) for name in structure.vocabulary.names}
-    return _sat(e, rels, structure.domain, structure.vocabulary, valuation)
+    models = _models(e, valuation, structure.domain, structure.vocabulary, rels)
+    return next(models, None) is not None
 
 
 def _sigma_symbols(sigma, valuation: Valuation) -> set[str]:
@@ -292,29 +283,10 @@ def mx(
     sigma_syms = _sigma_symbols(sigma, valuation)
     _check_sigma_structure(sigma_syms, structure)
     vocab = vocabulary or task_vocabulary(e, valuation, structure.vocabulary)
-    domain = structure.domain
-    expansion_syms = [n for n in vocab.names if n not in sigma_syms]
-
-    if _needs_universe(e):
-        universe = build_universe(domain, vocab)
-        sat = flat.eval_flat(e, valuation, universe)
-        smask = universe.mask(sigma_syms) if sigma_syms else 0
-        target = 0
-        for s in sigma_syms:
-            target |= universe.encode_rel(s, structure.rel(s))
-        out = [
-            universe.structure_at(i)
-            for i in sat.indices()
-            if (i & smask) == target
-        ]
-        if len(out) > limit:
-            raise CapExceeded(f"more than {limit} expansions")
-        return out
-
-    base = {s: structure.rel(s) for s in sigma_syms}
+    fixed = {s: structure.rel(s) for s in sigma_syms}
     results = []
-    for full in _dfs_expansions(e, base, expansion_syms, domain, vocab, valuation):
-        results.append(Structure.make(domain, vocab, full))
+    for model in _models(e, valuation, structure.domain, vocab, fixed):
+        results.append(model)
         if len(results) > limit:
             raise CapExceeded(f"more than {limit} expansions")
     return results
@@ -339,15 +311,9 @@ def sat_bounded(
     for size in range(1, domain_cap + 1):
         domain = Domain(valuation.domain.elements[:size])
         sub_val = Valuation(domain, valuation.var_map, valuation.modules, dict(valuation.env))
-        if _needs_universe(e):
-            universe = build_universe(domain, vocab)
-            sat = flat.eval_flat(e, sub_val, universe)
-            for i in sat.indices():
-                return universe.structure_at(i)
-            continue
-        syms = list(vocab.names)
-        for full in _dfs_expansions(e, {}, syms, domain, vocab, sub_val):
-            return Structure.make(domain, vocab, full)
+        model = next(_models(e, sub_val, domain, vocab, {}), None)
+        if model is not None:
+            return model
     return None
 
 
@@ -381,24 +347,7 @@ def ev(
                 f"output {var} has arity {value.arity}, formula expects {arities[var]}"
             )
         base[valuation.symbol(var)] = value
-    internal_syms = [n for n in vocab.names if n not in base]
-    domain = structure.domain
-
-    if _needs_universe(e):
-        universe = build_universe(domain, vocab)
-        sat = flat.eval_flat(e, valuation, universe)
-        fixed_mask = universe.mask(base) if base else 0
-        target = 0
-        for s, value in base.items():
-            target |= universe.encode_rel(s, value)
-        for i in sat.indices():
-            if (i & fixed_mask) == target:
-                return universe.structure_at(i)
-        return None
-
-    for full in _dfs_expansions(e, base, internal_syms, domain, vocab, valuation):
-        return Structure.make(domain, vocab, full)
-    return None
+    return next(_models(e, valuation, structure.domain, vocab, base), None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Error paths promised by the module contracts."""
 
+import re
 import time
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import structure_pq
 from modalg import dynamic as D
 from modalg import flat as F
+from modalg import lmumu as S
 from modalg.core import AtomicModule, Domain, Structure, Valuation, Vocabulary, build_universe
 from modalg.errors import (
     CapExceeded,
@@ -17,6 +19,7 @@ from modalg.errors import (
 )
 from modalg.flat import eval_flat
 from modalg.dynamic import eval_dyn
+from modalg.lmumu import eval_state
 from modalg.tasks import FOAtom, mc, mx, qe_encode
 
 
@@ -70,14 +73,43 @@ def test_mx_expansion_limit(pq):
         mx(F.Complement(F.Bottom()), frozenset(), empty, val, vocab, limit=3)
 
 
-def test_oversized_extension_refused_before_enumeration():
-    # 24 bits: Ne(P0) would hold 3 << 22 = 12,582,912 members
+def _unary_universe_24():
+    """12 unary symbols over {a,b}: 2^24 structures."""
     domain = Domain(("a", "b"))
     vocab = Vocabulary(tuple((f"P{k}", 1) for k in range(12)))
-    u = build_universe(domain, vocab, cap=24)
+    return domain, build_universe(domain, vocab, cap=24)
+
+
+def test_oversized_extension_refused_before_enumeration():
+    # Ne(P0) would hold 3 << 22 = 12,582,912 members
+    domain, u = _unary_universe_24()
     ne = AtomicModule.builtin("Ne", [("A", 1)], fn=lambda d, rels: bool(rels[0].tuples))
     val = Valuation(domain, {}, {"Ne": ne})
     start = time.perf_counter()
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=re.escape("(in: Ne(P0))")):
         eval_flat(F.Atom("Ne", ("P0",)), val, u)
+    assert time.perf_counter() - start < 1.0
+
+
+# Empty accepts only six empty relations, so its extension holds 2^12
+# structures; an action that frees five of them (10 bits) would hold 2^22 pairs.
+EMPTY6 = D.Action("Empty", tuple(f"P{k}" for k in range(6)), frozenset({"P0"}),
+                  frozenset(f"P{k}" for k in range(1, 6)))
+EMPTY6_LABEL = "Empty(in P0; out P1, P2, P3, P4, P5)"
+
+
+@pytest.mark.parametrize("evaluate, node", [
+    (eval_dyn, EMPTY6),
+    (eval_state, S.Diamond(EMPTY6, S.Prop("Empty", EMPTY6.args))),
+], ids=["action", "diamond"])
+def test_oversized_pair_set_names_innermost_node(evaluate, node):
+    domain, u = _unary_universe_24()
+    empty = AtomicModule.builtin("Empty", [(f"A{k}", 1) for k in range(6)],
+                                 fn=lambda d, rels: not any(r.tuples for r in rels))
+    val = Valuation(domain, {}, {"Empty": empty})
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        evaluate(node, val, u)
+    assert str(info.value).endswith(f"(in: {EMPTY6_LABEL})")
+    assert info.value.node == EMPTY6
     assert time.perf_counter() - start < 1.0

@@ -4,6 +4,9 @@ Every other module goes through IndexSet's methods and the operations next to
 it; none reads the stored members or the complement flag, or enforces the
 enumeration limit itself. `submasks` is used outside indexsets.py only to
 enumerate slot patterns for an oracle or a selection.
+
+The atom rule and the task layer's choice of search are likewise in one
+function each.
 """
 
 import ast
@@ -51,3 +54,25 @@ def test_representation_confined_to_indexsets():
                 if (path.name, function) not in SUBMASK_USERS:
                     leaks.append((path.name, function, name))
     assert leaks == []
+
+
+def _functions_using(path, name):
+    return {function for _, used, function in _uses(path) if used == name and function}
+
+
+def test_one_atom_rule():
+    """Outside core.py, one function builds atom extensions."""
+    callers = {
+        (path.name, function)
+        for path in SOURCES if path.name != "core.py"
+        for function in _functions_using(path, "extension_index_set")
+    }
+    assert len(callers) == 1, callers
+
+
+def test_one_model_search_fork():
+    """One function in tasks.py chooses between the structure-level search
+    and an explicit universe."""
+    tasks = next(path for path in SOURCES if path.name == "tasks.py")
+    forks = _functions_using(tasks, "_needs_universe")
+    assert len(forks) == 1, forks

@@ -22,6 +22,7 @@ from modalg.core import (
 )
 from modalg.errors import CapExceeded, NonPropositionalFormula, WellformednessError
 from modalg.flat import Const, Var
+from modalg.syntax import walk
 from modalg.tasks import (
     FOAtom,
     FOEq,
@@ -506,3 +507,63 @@ class TestTaskLadder:
                 assert witness is not None
                 checked += 1
         assert checked > 0
+
+
+def _three_element_setup():
+    """Domain {a,b,c} with P unary (3 bits) and Q binary (9 bits): 4,096
+    structures. The modules take random_flat's names; Copy holds when Q is
+    the diagonal of P."""
+    domain = Domain(("a", "b", "c"))
+    vocab = Vocabulary((("P", 1), ("Q", 2)))
+    modules = {
+        "FullP": AtomicModule.builtin("FullP", [("P0", 1)],
+                                      fn=lambda d, r: len(r[0].tuples) == len(d)),
+        "EmptyQ": AtomicModule.builtin("EmptyQ", [("Q0", 2)], fn=lambda d, r: not r[0].tuples),
+        "NonemptyP": AtomicModule.builtin("NonemptyP", [("N0", 1)],
+                                          fn=lambda d, r: bool(r[0].tuples)),
+        "Copy": AtomicModule.builtin(
+            "Copy", [("A", 1), ("B", 2)],
+            fn=lambda d, r: r[1].tuples == {(x, x) for (x,) in r[0].tuples}),
+    }
+    return domain, vocab, Valuation(domain, {}, modules)
+
+
+class TestBranchesAgree:
+    """A vacuous fixed point forces the universe branch of mc/mx/ev/
+    sat_bounded; on fixpoint-free formulas both branches give one answer."""
+
+    @pytest.mark.parametrize("universe", ["pq", "abc-binary"])
+    def test_vacuous_fixpoint_changes_no_answer(self, pq, universe):
+        if universe == "pq":
+            domain, vocab, _, val = pq
+            count, depth, samples = 12, 3, 4
+        else:  # a hidden Q has 512 values, so keep projections shallow
+            domain, vocab, val = _three_element_setup()
+            count, depth, samples = 8, 2, 2
+        rng = random.Random(83)
+        formulas = []
+        while len(formulas) < count:
+            e = random_flat(rng, depth)
+            nodes = walk(e)
+            if any(isinstance(n, F.Lfp) for n in nodes):
+                continue
+            if universe != "pq" and any(
+                isinstance(n, F.Select) and isinstance(n.right, Var) for n in nodes
+            ):
+                continue  # P == Q compares a unary with a binary symbol
+            formulas.append(e)
+        q_tuples = list(itertools.product(domain.elements, repeat=vocab.arity("Q")))
+        for e in formulas:
+            wrapped = F.Lfp("Zv", e)
+            for _ in range(samples):
+                p = [(x,) for x in domain.elements if rng.random() < 0.5]
+                q = [t for t in q_tuples if rng.random() < 0.3]
+                full = Structure.make(domain, vocab, {"P": p, "Q": q})
+                part = Structure.make(domain, Vocabulary((("P", 1),)), {"P": p})
+                assert mc(e, full, val) == mc(wrapped, full, val)
+                assert mx(e, {"P"}, part, val, vocab) == mx(wrapped, {"P"}, part, val, vocab)
+                outputs = {"Q": full.rel("Q")} if "Q" in F.free_relational_vars(e) else {}
+                assert (ev(e, {"P"}, part, outputs, val, vocab)
+                        == ev(wrapped, {"P"}, part, outputs, val, vocab))
+            cap = len(domain)
+            assert sat_bounded(e, val, cap, vocab) == sat_bounded(wrapped, val, cap, vocab)
