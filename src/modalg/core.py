@@ -475,7 +475,7 @@ def build_universe(
 
 
 class StructureSet:
-    """Set of universe structures backed by a (possibly complemented) index set."""
+    """Set of universe structures backed by a state bitmap (see indexsets)."""
 
     __slots__ = ("universe", "iset")
 
@@ -487,7 +487,7 @@ class StructureSet:
 
     @classmethod
     def empty(cls, universe: Universe) -> "StructureSet":
-        return cls(universe, IndexSet.empty(universe.size))
+        return cls(universe, IndexSet(universe.size))
 
     @classmethod
     def full(cls, universe: Universe) -> "StructureSet":

@@ -1,7 +1,7 @@
 """The calculus of binary relations: actions with inertia, tests, binary
 fixed points, the derived operations, and transition-system construction.
 
-Edge sets are index sets over the pair space (see indexsets), so complement
+Edge sets are possibly-complemented pair sets (see indexsets), so complement
 costs nothing and the intersection sugar -(-a | -b) stays sparse.
 """
 
@@ -19,10 +19,10 @@ from .errors import (
 from .flat import Const, EvalContext, EvalStats, Var, Operand, _evaluator, _select_filter
 from .indexsets import (
     IndexSet,
+    PairSet,
     compose,
-    cylinder,
     diagonal,
-    project,
+    inertia,
     restrict,
     sources,
     targets,
@@ -277,20 +277,20 @@ class EdgeSet:
 
     __slots__ = ("universe", "iset")
 
-    def __init__(self, universe: Universe, iset: IndexSet):
+    def __init__(self, universe: Universe, iset: PairSet):
         if iset.space != universe.size * universe.size:
-            raise WellformednessError("edge index set does not match the pair space")
+            raise WellformednessError("pair set does not match the pair space")
         self.universe = universe
         self.iset = iset
 
     @classmethod
     def empty(cls, universe: Universe) -> "EdgeSet":
-        return cls(universe, IndexSet.empty(universe.size * universe.size))
+        return cls(universe, PairSet(universe.size * universe.size))
 
     @classmethod
     def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]) -> "EdgeSet":
         n = universe.size
-        return cls(universe, IndexSet(n * n, (i * n + j for i, j in pairs)))
+        return cls(universe, PairSet(n * n, (i * n + j for i, j in pairs)))
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         n = self.universe.size
@@ -347,7 +347,7 @@ def eval_dyn(
     return EdgeSet(universe, _eval_dyn(a, EvalContext(universe, stats), valuation))
 
 
-def _eval_dyn(a: ProcExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
+def _eval_dyn(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
     iset = _eval_dyn_inner(a, ctx, val)
     if ctx.record is not None:
         ctx.record[ctx.label(a)] = iset
@@ -355,20 +355,15 @@ def _eval_dyn(a: ProcExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
 
 
 @_evaluator
-def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
+def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
     u = ctx.universe
     n = u.size
     if isinstance(a, Bottom):
-        return IndexSet.empty(n * n)
+        return PairSet(n * n)
     if isinstance(a, Test):
         return diagonal(ctx.extension(a, val))
     if isinstance(a, Action):
-        # (b1, b2) with b2 in the extension and b1 free only on the outputs
-        ext = ctx.extension(a, val)
-        emask = u.mask({val.symbol(arg) for arg in a.outputs})
-        bits = u.total_bits
-        keys = [((b2 & ~emask) << bits) | b2 for b2 in ext.indices()]
-        return cylinder(n * n, keys, emask << bits)
+        return inertia(ctx.extension(a, val), u.mask({val.symbol(arg) for arg in a.outputs}))
     if isinstance(a, ModuleVar):
         value = val.env.get(a.name)
         if not isinstance(value, EdgeSet):
@@ -381,7 +376,7 @@ def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
     if isinstance(a, Project):
         inner = _eval_dyn(a.inner, ctx, val)
         off = u.full_mask & ~u.mask(val.symbol(v) for v in a.keep)
-        return project(inner, (off << u.total_bits) | off)
+        return inner.project((off << u.total_bits) | off)
     if isinstance(a, Select):
         return _eval_select(a, ctx, val)
     if isinstance(a, Lfp):
@@ -423,7 +418,7 @@ def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
     raise TypeError(f"not a process expression: {a!r}")
 
 
-def _eval_select(a: Select, ctx: EvalContext, val: Valuation) -> IndexSet:
+def _eval_select(a: Select, ctx: EvalContext, val: Valuation) -> PairSet:
     u = ctx.universe
     n = u.size
     sigma, epsilon = io_vocab(a.inner)
@@ -457,7 +452,7 @@ def _eval_select(a: Select, ctx: EvalContext, val: Valuation) -> IndexSet:
             bits = u.encode_rel(l1_sym, RelationValue(l1_arity, frozenset(r_tuples)))
             b1 = (c & ~l1_mask) | bits
             members.add(b1 * n + b2)
-        return IndexSet(n * n, members)
+        return PairSet(n * n, members)
     raise IllegalSelect(
         f"selection operands {l} and {r} do not classify as two inputs, two outputs, "
         f"or input-output feedback for the body (inputs {sorted(sigma)}, outputs "
@@ -482,7 +477,7 @@ def build_transition_system(
     listed in post-order without repeats; state tests are labelled but not
     entered.
     """
-    record: dict[str, IndexSet] = {}
+    record: dict[str, PairSet] = {}
     ctx = EvalContext(universe, stats, record)
     _eval_dyn(a, ctx, valuation)
     edges: dict[str, EdgeSet] = {}

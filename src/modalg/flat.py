@@ -2,7 +2,7 @@
 fixed points over sets of structures.
 
 Evaluation is explicit-state: extensions are subsets of a materializable
-universe, represented as possibly-complemented index sets.
+universe, represented as bitmaps over its indices (see indexsets).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     UnboundModuleVar,
     WellformednessError,
 )
-from .indexsets import IndexSet, cylinder, project, submasks
+from .indexsets import IndexSet, cylinder, submasks
 from .syntax import Node, children, walk
 
 
@@ -237,7 +237,7 @@ class EvalContext:
     """What one evaluation shares across the flat, process and state sorts.
 
     The universe, the atom-extension cache, the optional EvalStats, the
-    optional transition-system record (label -> index set) and the label
+    optional transition-system record (label -> pair set) and the label
     memo, which prints each distinct node once.
     """
 
@@ -277,8 +277,7 @@ class EvalContext:
         def step(current: IndexSet) -> IndexSet:
             return evaluate(node.body, self, val.bind(node.var, box(u, current)))
 
-        space = box.empty(u).iset.space
-        return _lfp_indexsets(step, space, lambda: self.label(node), self.stats)
+        return _lfp_indexsets(step, box.empty(u).iset, lambda: self.label(node), self.stats)
 
 
 def _evaluator(evaluate):
@@ -305,7 +304,7 @@ def _select_filter(
         arity = left.arity if left.arity is not None else right.arity
         if arity is None or left.value(arity).tuples == right.value(arity).tuples:
             return IndexSet.full(u.size)
-        return IndexSet.empty(u.size)
+        return IndexSet(u.size)
     # at least one variable: enumerate only the involved symbol slots
     vars_ = [op.name for op in (left, right) if isinstance(op, Var)]
     syms = [valuation.symbol(v) for v in vars_]
@@ -342,13 +341,12 @@ def _check_injective(e: FlatExpr, valuation: Valuation) -> None:
 
 def _lfp_indexsets(
     f: Callable[[IndexSet], IndexSet],
-    space: int,
+    current: IndexSet,
     label: Callable[[], str],
     stats: Optional[EvalStats],
 ) -> IndexSet:
-    """Iterate f from the empty set; label() names the fixpoint in stats and
-    errors and is called only when one of them needs it."""
-    current = IndexSet.empty(space)
+    """Iterate f from the empty set `current`; label() names the fixpoint in
+    stats and errors and is called only when one of them needs it."""
     iterations = 0
     while True:
         iterations += 1
@@ -379,7 +377,7 @@ def eval_flat(
 def _eval(e: FlatExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
     u = ctx.universe
     if isinstance(e, Bottom):
-        return IndexSet.empty(u.size)
+        return IndexSet(u.size)
     if isinstance(e, Atom):
         return ctx.extension(e, val)
     if isinstance(e, ModuleVar):
@@ -394,7 +392,7 @@ def _eval(e: FlatExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
     if isinstance(e, Project):
         inner = _eval(e.inner, ctx, val)
         keep_mask = u.mask(val.symbol(v) for v in e.keep)
-        return project(inner, u.full_mask & ~keep_mask)
+        return inner.project(u.full_mask & ~keep_mask)
     if isinstance(e, Select):
         inner = _eval(e.inner, ctx, val)
         return inner.intersection(_select_filter(e.left, e.right, val, u))
@@ -418,4 +416,5 @@ def lfp_iterate(
     def step(iset: IndexSet) -> IndexSet:
         return f(StructureSet(universe, iset)).iset
 
-    return StructureSet(universe, _lfp_indexsets(step, universe.size, lambda: label, stats))
+    empty = IndexSet(universe.size)
+    return StructureSet(universe, _lfp_indexsets(step, empty, lambda: label, stats))

@@ -1,30 +1,146 @@
-"""Possibly-complemented finite index sets and the operations on them.
+"""State sets as dense bitmaps, pair sets as sparse code sets, and the
+operations on and between them.
 
-Subsets of {0, ..., space-1} stored either as an explicit member set or as
-the complement of one. Complementation is O(1) and unions/intersections go
-through De Morgan, so expressions like -(-a | -b) never materialize the
-ambient space. Only enumeration materializes, and it is guarded: spaces here
-can be as large as |universe|^2.
-
-A state set lives over a space of 2^bits indices, a pair set over 2^(2*bits)
-codes with the pair (i, j) coded as (i << bits) | j. Projection, the two
-images of a pair set and the preimage of a state set are all existentials
-over some bits of a code, and share one complement rule (`_classes`).
+A state set is a subset of {0, ..., space-1}, space = 2^bits, held in one int
+whose bit i is set iff i is a member: union, intersection and complement are
+single big-int operations, and projection is bit-parallel quantification over
+per-bit column masks (Knuth, TAOCP 4A §7.1.3). A pair set lives over
+2^(2*bits) codes, the pair (i, j) coded (i << bits) | j, too many for a
+bitmap: it is an explicit member set or the complement of one, so complement
+is O(1), unions and intersections go through De Morgan, and only enumeration
+materializes. Pair projection, the images of a pair set and the preimage of a
+state set are existentials over some bits of a code and share one complement
+rule (`_classes`).
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter, defaultdict
 from typing import Collection, Iterable, Iterator
 
 from .errors import CapExceeded
 
-# Hard ceiling on how many indices a single operation may materialize.
+# The one budget: how many indices an operation may materialize, and how many
+# bytes a state bitmap may take (charged before it is built).
 MATERIALIZE_LIMIT = 4_000_000
+
+# _OFFSETS[b]: the positions of the set bits of the byte value b, ascending
+_OFFSETS = tuple(tuple(k for k in range(8) if b >> k & 1) for b in range(256))
+
+
+def _check_size(count: int, space: int) -> None:
+    if count > MATERIALIZE_LIMIT:
+        raise CapExceeded(
+            f"materializing {count} of {space} indices exceeds the "
+            f"enumeration limit ({MATERIALIZE_LIMIT})"
+        )
+
+
+def _bit_positions(mask: int) -> list[int]:
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+@functools.cache
+def _columns(bits: int) -> tuple[int, ...]:
+    """cols[b] = the indices in range(2^bits) with bit b set, built by
+    doubling; bits * 2^bits / 8 bytes, and the budget keeps bits <= 24."""
+    cols = []
+    for b in range(bits):
+        col, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+        while width < 1 << bits:
+            col |= col << width
+            width <<= 1
+        cols.append(col)
+    return tuple(cols)
 
 
 class IndexSet:
-    """Immutable subset of range(space), possibly stored complemented."""
+    """Immutable subset of range(space): a state set, one bit per index."""
+
+    __slots__ = ("space", "bitmap")
+
+    def __init__(self, space: int, indices: Iterable[int] = ()):
+        # the one charge for dense sets, made before any byte is allocated
+        if space >> 3 > MATERIALIZE_LIMIT:
+            raise CapExceeded(
+                f"a state set over {space} indices takes {space >> 3} bytes, "
+                f"over the limit ({MATERIALIZE_LIMIT})"
+            )
+        buf = bytearray((space + 7) >> 3)
+        for i in indices:
+            buf[i >> 3] |= 1 << (i & 7)
+        self.space = space
+        self.bitmap = int.from_bytes(buf, "little")
+
+    def _with(self, bitmap: int) -> "IndexSet":
+        out = IndexSet.__new__(IndexSet)
+        out.space = self.space
+        out.bitmap = bitmap
+        return out
+
+    @classmethod
+    def full(cls, space: int) -> "IndexSet":
+        return cls(space).complement()
+
+    def __len__(self) -> int:
+        return self.bitmap.bit_count()
+
+    def __contains__(self, i: int) -> bool:
+        return 0 <= i < self.space and self.bitmap >> i & 1 == 1
+
+    def __bool__(self) -> bool:
+        return self.bitmap != 0
+
+    def complement(self) -> "IndexSet":
+        return self._with(self.bitmap ^ ((1 << self.space) - 1))
+
+    def union(self, other: "IndexSet") -> "IndexSet":
+        return self._with(self.bitmap | other.bitmap)
+
+    def intersection(self, other: "IndexSet") -> "IndexSet":
+        return self._with(self.bitmap & other.bitmap)
+
+    def difference(self, other: "IndexSet") -> "IndexSet":
+        return self._with(self.bitmap & ~other.bitmap)
+
+    def issubset(self, other: "IndexSet") -> bool:
+        return self.bitmap & other.bitmap == self.bitmap
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IndexSet):
+            return NotImplemented
+        return self.space == other.space and self.bitmap == other.bitmap
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.bitmap))
+
+    def _bytes(self) -> bytes:
+        """Byte view for membership tests in loops: index i is bit i & 7 of
+        byte i >> 3. Testing `bitmap >> i` would cost O(space) per test."""
+        return self.bitmap.to_bytes((self.space + 7) >> 3, "little")
+
+    def indices(self) -> Iterator[int]:
+        """Ascending iteration (guarded)."""
+        _check_size(len(self), self.space)
+        data = self._bytes()
+        return iter([base + k for base, byte in zip(range(0, len(data) << 3, 8), data)
+                     if byte for k in _OFFSETS[byte]])
+
+    def project(self, free_mask: int) -> "IndexSet":
+        """{i : some j in the set agrees with i outside free_mask}."""
+        x, cols = self.bitmap, _columns(self.space.bit_length() - 1)
+        for b in _bit_positions(free_mask):
+            high = (x | x << (1 << b)) & cols[b]
+            x = high | high >> (1 << b)
+        return self._with(x)
+
+    def __repr__(self) -> str:
+        return f"IndexSet({len(self)} of {self.space})"
+
+
+class PairSet:
+    """Immutable set of pair codes, possibly stored complemented."""
 
     __slots__ = ("space", "members", "negated")
 
@@ -33,44 +149,30 @@ class IndexSet:
         self.members = frozenset(members)
         self.negated = negated
 
-    @classmethod
-    def empty(cls, space: int) -> "IndexSet":
-        return cls(space)
-
-    @classmethod
-    def full(cls, space: int) -> "IndexSet":
-        return cls(space, (), negated=True)
-
     def __len__(self) -> int:
         return self.space - len(self.members) if self.negated else len(self.members)
 
-    def __contains__(self, i: int) -> bool:
-        return (i in self.members) != self.negated
+    def __contains__(self, code: int) -> bool:
+        return (code in self.members) != self.negated
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
+    def complement(self) -> "PairSet":
+        return PairSet(self.space, self.members, not self.negated)
 
-    def complement(self) -> "IndexSet":
-        return IndexSet(self.space, self.members, not self.negated)
-
-    def union(self, other: "IndexSet") -> "IndexSet":
+    def union(self, other: "PairSet") -> "PairSet":
         a, b = self, other
         if not a.negated and not b.negated:
-            return IndexSet(a.space, a.members | b.members)
+            return PairSet(a.space, a.members | b.members)
         if a.negated and b.negated:
-            return IndexSet(a.space, a.members & b.members, negated=True)
+            return PairSet(a.space, a.members & b.members, negated=True)
         if b.negated:
             a, b = b, a
         # a negated, b plain: (U \ A) | B = U \ (A \ B)
-        return IndexSet(a.space, a.members - b.members, negated=True)
+        return PairSet(a.space, a.members - b.members, negated=True)
 
-    def intersection(self, other: "IndexSet") -> "IndexSet":
+    def intersection(self, other: "PairSet") -> "PairSet":
         return self.complement().union(other.complement()).complement()
 
-    def difference(self, other: "IndexSet") -> "IndexSet":
-        return self.intersection(other.complement())
-
-    def issubset(self, other: "IndexSet") -> bool:
+    def issubset(self, other: "PairSet") -> bool:
         a, b = self, other
         if not a.negated and not b.negated:
             return a.members <= b.members
@@ -82,15 +184,9 @@ class IndexSet:
         return len(a.members | b.members) == a.space
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IndexSet):
+        if not isinstance(other, PairSet):
             return NotImplemented
-        if self.space != other.space:
-            return False
-        if self.negated == other.negated:
-            return self.members == other.members
-        return len(self.members) + len(other.members) == self.space and self.members.isdisjoint(
-            other.members
-        )
+        return self.space == other.space and self.issubset(other) and other.issubset(self)
 
     def __hash__(self) -> int:  # weak but consistent with the semantic __eq__
         return hash((self.space, len(self)))
@@ -101,14 +197,17 @@ class IndexSet:
             yield from sorted(self.members)
             return
         _check_size(len(self), self.space)
-        skip = self.members
-        for i in range(self.space):
-            if i not in skip:
-                yield i
+        yield from (i for i in range(self.space) if i not in self.members)
+
+    def project(self, free_mask: int) -> "PairSet":
+        """{c : some d in the set agrees with c outside free_mask}."""
+        keys = _classes(self.members, self.negated, ~free_mask, 1 << free_mask.bit_count())
+        out = _pair_cylinder(self.space, keys, free_mask)
+        return out.complement() if self.negated else out
 
     def __repr__(self) -> str:
         sign = "~" if self.negated else ""
-        return f"IndexSet({sign}{len(self.members)} of {self.space})"
+        return f"PairSet({sign}{len(self.members)} of {self.space})"
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -121,23 +220,24 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def _check_size(count: int, space: int) -> None:
-    if count > MATERIALIZE_LIMIT:
-        raise CapExceeded(
-            f"materializing {count} of {space} indices exceeds the "
-            f"enumeration limit ({MATERIALIZE_LIMIT})"
-        )
-
-
-def cylinder(space: int, keys: Collection[int], free_mask: int) -> IndexSet:
+def cylinder(space: int, keys: Iterable[int], free_mask: int) -> IndexSet:
     """{k | f : k in keys, f a submask of free_mask}; keys are clear on free_mask.
 
-    The would-be size is checked against the limit before anything is
-    enumerated.
+    The keys' point set projected over the free bits: as the keys are clear
+    there, the existential over bit b is one shift by 2^b.
     """
+    out = IndexSet(space, keys)
+    x = out.bitmap
+    for b in _bit_positions(free_mask):
+        x |= x << (1 << b)
+    return out._with(x)
+
+
+def _pair_cylinder(space: int, keys: Collection[int], free_mask: int) -> PairSet:
+    """The sparse cylinder, refused by its would-be size before enumerating."""
     _check_size(len(keys) << free_mask.bit_count(), space)
     subs = list(submasks(free_mask))
-    return IndexSet(space, [k | f for k in keys for f in subs])
+    return PairSet(space, [k | f for k in keys for f in subs])
 
 
 def _classes(codes: Iterable[int], negated: bool, keep_mask: int, class_size: int) -> set[int]:
@@ -154,65 +254,68 @@ def _classes(codes: Iterable[int], negated: bool, keep_mask: int, class_size: in
     return {k for k, count in removed.items() if count == class_size}
 
 
-def project(iset: IndexSet, free_mask: int) -> IndexSet:
-    """{i : some j in iset agrees with i outside free_mask}."""
-    keys = _classes(iset.members, iset.negated, ~free_mask, 1 << free_mask.bit_count())
-    out = cylinder(iset.space, keys, free_mask)
-    return out.complement() if iset.negated else out
-
-
 def _half_bits(pair_space: int) -> int:
     return (pair_space.bit_length() - 1) // 2
 
 
-def sources(pairs: IndexSet) -> IndexSet:
+def _image(pairs: PairSet, codes: Iterable[int], shift: int, class_size: int) -> IndexSet:
+    """The state set of the components `code >> shift` (0: targets, bits:
+    sources) of the classes that `codes` meet, by the complement rule."""
+    bits = _half_bits(pairs.space)
+    keys = _classes(codes, pairs.negated, ((1 << bits) - 1) << shift, class_size)
+    out = IndexSet(1 << bits, (k >> shift for k in keys))
+    return out.complement() if pairs.negated else out
+
+
+def sources(pairs: PairSet) -> IndexSet:
     """{i : (i, j) in pairs for some j}."""
-    bits = _half_bits(pairs.space)
-    keys = _classes(pairs.members, pairs.negated, -1 << bits, 1 << bits)
-    return IndexSet(1 << bits, (k >> bits for k in keys), pairs.negated)
+    return _image(pairs, pairs.members, _half_bits(pairs.space), 1 << _half_bits(pairs.space))
 
 
-def targets(pairs: IndexSet) -> IndexSet:
+def targets(pairs: PairSet) -> IndexSet:
     """{j : (i, j) in pairs for some i}."""
-    bits = _half_bits(pairs.space)
-    keys = _classes(pairs.members, pairs.negated, (1 << bits) - 1, 1 << bits)
-    return IndexSet(1 << bits, keys, pairs.negated)
+    return _image(pairs, pairs.members, 0, 1 << _half_bits(pairs.space))
 
 
-def preimage(pairs: IndexSet, states: IndexSet) -> IndexSet:
+def preimage(pairs: PairSet, states: IndexSet) -> IndexSet:
     """{i : (i, j) in pairs for some j in states}."""
     bits = _half_bits(pairs.space)
     if not states:
-        return IndexSet.empty(1 << bits)
-    low = (1 << bits) - 1
-    hits = (c for c in pairs.members if (c & low) in states)
-    keys = _classes(hits, pairs.negated, -1 << bits, len(states))
-    return IndexSet(1 << bits, (k >> bits for k in keys), pairs.negated)
+        return IndexSet(1 << bits)
+    low, view = (1 << bits) - 1, states._bytes()
+    hits = [c for c in pairs.members if view[(j := c & low) >> 3] >> (j & 7) & 1]
+    return _image(pairs, hits, bits, len(states))
 
 
-def diagonal(states: IndexSet) -> IndexSet:
+def diagonal(states: IndexSet) -> PairSet:
     """{(i, i) : i in states}, over the pair space of the states' space."""
     bits = states.space.bit_length() - 1
-    return IndexSet(states.space << bits, [(i << bits) | i for i in states.indices()])
+    return PairSet(states.space << bits, [(i << bits) | i for i in states.indices()])
 
 
-def restrict(pairs: IndexSet, states: IndexSet, side: int) -> IndexSet:
+def restrict(pairs: PairSet, states: IndexSet, side: int) -> PairSet:
     """Pairs whose side-th component (0 = source, 1 = target) lies in states."""
     bits = _half_bits(pairs.space)
     low = (1 << bits) - 1
+    shift = bits if side == 0 else 0
     if not pairs.negated:
-        if side == 0:
-            return IndexSet(pairs.space, (c for c in pairs.members if (c >> bits) in states))
-        return IndexSet(pairs.space, (c for c in pairs.members if (c & low) in states))
+        view = states._bytes()
+        return PairSet(pairs.space, [c for c in pairs.members
+                                     if view[(i := c >> shift & low) >> 3] >> (i & 7) & 1])
     # complemented: every pair with that side in states, less the removed ones
-    if side == 0:
-        side_pairs = cylinder(pairs.space, [s << bits for s in states.indices()], low)
-    else:
-        side_pairs = cylinder(pairs.space, list(states.indices()), low << bits)
-    return side_pairs.intersection(pairs)
+    keys = [s << shift for s in states.indices()]
+    return _pair_cylinder(pairs.space, keys, low << (bits - shift)).intersection(pairs)
 
 
-def compose(a: IndexSet, b: IndexSet) -> IndexSet:
+def inertia(ext: IndexSet, free_mask: int) -> PairSet:
+    """{(i, j) : j in ext, i agrees with j outside free_mask}: the pairs of an
+    action whose outputs are the free bits."""
+    bits = ext.space.bit_length() - 1
+    keys = [((j & ~free_mask) << bits) | j for j in ext.indices()]
+    return _pair_cylinder(ext.space << bits, keys, free_mask << bits)
+
+
+def compose(a: PairSet, b: PairSet) -> PairSet:
     """{(i, k) : (i, j) in a and (j, k) in b for some j}."""
     bits = _half_bits(a.space)
     low = (1 << bits) - 1
@@ -226,4 +329,4 @@ def compose(a: IndexSet, b: IndexSet) -> IndexSet:
             members.add(row | j)
         if len(members) > MATERIALIZE_LIMIT:
             raise CapExceeded(f"composition exceeds the enumeration limit ({MATERIALIZE_LIMIT})")
-    return IndexSet(a.space, members)
+    return PairSet(a.space, members)

@@ -76,10 +76,12 @@ def infer_arities(e: FlatExpr, valuation: Valuation) -> dict[str, int]:
                     if isinstance(other, Const) and other.arity is not None:
                         note(op.name, other.arity)
             if isinstance(l, Var) and isinstance(r, Var):
-                if l.name in arities:
-                    note(r.name, arities[l.name])
-                elif r.name in arities:
-                    note(l.name, arities[r.name])
+                # a known arity passes only to an operand without one:
+                # relations of different arities are equal iff both are empty
+                known = arities.get(l.name, arities.get(r.name))
+                if known is not None:
+                    arities.setdefault(l.name, known)
+                    arities.setdefault(r.name, known)
     return arities
 
 
@@ -339,14 +341,14 @@ def ev(
             f"{sorted(expected_outputs)}, got {sorted(outputs)}"
         )
     vocab = vocabulary or task_vocabulary(e, valuation, structure.vocabulary)
-    arities = infer_arities(e, valuation)
     base: dict[str, RelationValue] = {s: structure.rel(s) for s in sigma_syms}
     for var, value in outputs.items():
-        if var in arities and value.arity != arities[var]:
+        sym = valuation.symbol(var)
+        if sym in vocab and value.arity != vocab.arity(sym):
             raise ArityMismatch(
-                f"output {var} has arity {value.arity}, formula expects {arities[var]}"
+                f"output {var} has arity {value.arity}, the vocabulary gives {vocab.arity(sym)}"
             )
-        base[valuation.symbol(var)] = value
+        base[sym] = value
     return next(_models(e, valuation, structure.domain, vocab, base), None)
 
 

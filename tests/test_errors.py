@@ -2,6 +2,7 @@
 
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from modalg.errors import (
 from modalg.flat import eval_flat
 from modalg.dynamic import eval_dyn
 from modalg.lmumu import eval_state
+from modalg.printer import to_text
 from modalg.tasks import FOAtom, mc, mx, qe_encode
 
 
@@ -80,15 +82,48 @@ def _unary_universe_24():
     return domain, build_universe(domain, vocab, cap=24)
 
 
-def test_oversized_extension_refused_before_enumeration():
-    # Ne(P0) would hold 3 << 22 = 12,582,912 members
-    domain, u = _unary_universe_24()
+def _ne_valuation(domain):
     ne = AtomicModule.builtin("Ne", [("A", 1)], fn=lambda d, rels: bool(rels[0].tuples))
-    val = Valuation(domain, {}, {"Ne": ne})
+    return Valuation(domain, {}, {"Ne": ne})
+
+
+def test_oversized_extension_refused_before_enumeration():
+    # Ne(P0) holds 3 << 22 = 12,582,912 structures: a 2 MiB bitmap, but too
+    # many to enumerate
+    domain, u = _unary_universe_24()
+    val = _ne_valuation(domain)
     start = time.perf_counter()
-    with pytest.raises(CapExceeded, match=re.escape("(in: Ne(P0))")):
-        eval_flat(F.Atom("Ne", ("P0",)), val, u)
+    result = eval_flat(F.Atom("Ne", ("P0",)), val, u)
+    assert len(result) == 12_582_912
     assert time.perf_counter() - start < 1.0
+    yielded = []
+    with pytest.raises(CapExceeded):
+        for i in result.indices():
+            yielded.append(i)
+    assert yielded == []
+    test = D.Test("Ne", ("P0",))
+    with pytest.raises(CapExceeded) as info:
+        eval_dyn(test, val, u)
+    assert str(info.value).endswith(f"(in: {to_text(test)})")
+
+
+def test_state_set_over_byte_budget_refused():
+    """A bitmap over 2^25 structures takes 4 MiB whatever its members, over
+    the budget: the first state set, even an empty one, raises and names its
+    node, and none of it is allocated."""
+    domain = Domain(tuple("abcde"))
+    u = build_universe(domain, Vocabulary(tuple((f"P{k}", 1) for k in range(5))), cap=25)
+    val = _ne_valuation(domain)
+    tracemalloc.start()
+    try:
+        for node in (F.Bottom(), F.Atom("Ne", ("P0",))):
+            with pytest.raises(CapExceeded) as info:
+                eval_flat(node, val, u)
+            assert str(info.value).endswith(f"(in: {to_text(node)})")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < u.size >> 6  # an eighth of the bitmap's 4 MiB
 
 
 # Empty accepts only six empty relations, so its extension holds 2^12

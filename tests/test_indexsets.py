@@ -1,4 +1,5 @@
-"""Possibly-complemented index sets checked against plain set semantics."""
+"""Dense state sets and sparse, possibly-complemented pair sets checked
+against plain set semantics."""
 
 import random
 
@@ -8,50 +9,76 @@ from modalg.errors import CapExceeded
 from modalg.indexsets import (
     MATERIALIZE_LIMIT,
     IndexSet,
+    PairSet,
     compose,
     cylinder,
     diagonal,
+    inertia,
     preimage,
-    project,
     restrict,
     sources,
     submasks,
     targets,
 )
 
-SPACE = 12
-
 
 def model(iset):
+    """The members of a state set (through indices()) or of a pair set."""
+    if isinstance(iset, IndexSet):
+        return set(iset.indices())
     return set(range(iset.space)) - iset.members if iset.negated else set(iset.members)
 
 
-def samples(rng, n=40, space=SPACE):
+def state_samples(rng, n, space):
+    """(state set, its members): random densities, plus empty and full."""
+    out = []
+    for _ in range(n):
+        density = rng.choice([0.05, 0.4, 0.9])
+        members = {i for i in range(space) if rng.random() < density}
+        out.append((IndexSet(space, members), members))
+    return out + [(IndexSet(space), set()), (IndexSet.full(space), set(range(space)))]
+
+
+def pair_samples(rng, n, space):
     out = []
     for _ in range(n):
         density = rng.choice([0.1, 0.4, 0.9])
         members = {i for i in range(space) if rng.random() < density}
-        out.append(IndexSet(space, members, negated=rng.random() < 0.5))
-    out += [IndexSet.empty(space), IndexSet.full(space)]
-    return out
+        out.append(PairSet(space, members, negated=rng.random() < 0.5))
+    return out + [PairSet(space), PairSet(space).complement()]
+
+
+def projected(members, free, space):
+    keys = {j & ~free for j in members}
+    return {i for i in range(space) if i & ~free in keys}
 
 
 def test_operations_match_set_model():
     rng = random.Random(99)
-    sets = samples(rng)
-    for a in sets:
-        assert model(a.complement()) == set(range(SPACE)) - model(a)
-        assert len(a) == len(model(a))
-        assert set(a.indices()) == model(a)
-        for i in range(SPACE):
-            assert (i in a) == (i in model(a))
-    for a in sets[:20]:
-        for b in sets[:20]:
-            assert model(a.union(b)) == model(a) | model(b)
-            assert model(a.intersection(b)) == model(a) & model(b)
-            assert model(a.difference(b)) == model(a) - model(b)
-            assert a.issubset(b) == (model(a) <= model(b))
-            assert (a == b) == (model(a) == model(b))
+    for bits in range(3, 13):
+        space = 1 << bits
+        sets = state_samples(rng, 10, space)
+        for a, members in sets:
+            assert list(a.indices()) == sorted(members)
+            assert model(a.complement()) == set(range(space)) - members
+            assert len(a) == len(members)
+            assert bool(a) == bool(members)
+            assert all((i in a) == (i in members) for i in range(-1, space + 1))
+        for a, ma in sets:
+            for b, mb in sets:
+                assert model(a.union(b)) == ma | mb
+                assert model(a.intersection(b)) == ma & mb
+                assert model(a.difference(b)) == ma - mb
+                assert a.issubset(b) == (ma <= mb)
+                assert (a == b) == (ma == mb)
+        masks = range(space) if bits == 3 else [0, space - 1] + [
+            rng.randrange(space) for _ in range(4)]
+        for free in masks:
+            keys = {k & ~free for k in range(space) if rng.random() < 0.1}
+            assert model(cylinder(space, keys, free)) == {
+                k | f for k in keys for f in submasks(free)}
+            for a, members in sets:
+                assert model(a.project(free)) == projected(members, free, space)
 
 
 BITS = 3  # states 0..7; pairs (i, j) coded (i << BITS) | j
@@ -64,21 +91,15 @@ def pair_model(iset):
 
 def test_state_and_pair_operations_match_set_model():
     rng = random.Random(7)
-    states = samples(rng, 20, N)
-    pairs = samples(rng, 20, N * N)
+    states = [s for s, _ in state_samples(rng, 20, N)]
+    pairs = pair_samples(rng, 20, N * N)
     for free in (0, 0b001, 0b101, 0b111):
-        keys = {k & ~free for k in range(N) if rng.random() < 0.5}
-        assert model(cylinder(N, keys, free)) == {k | f for k in keys for f in submasks(free)}
-        for s in states:
-            assert model(project(s, free)) == {
-                i for i in range(N) if any(j & ~free == i & ~free for j in model(s))
-            }
         pair_free = (free << BITS) | free
         for p in pairs:
-            assert model(project(p, pair_free)) == {
-                c for c in range(N * N)
-                if any(d & ~pair_free == c & ~pair_free for d in model(p))
-            }
+            assert model(p.project(pair_free)) == projected(model(p), pair_free, N * N)
+        for s in states:
+            assert pair_model(inertia(s, free)) == {
+                (i, j) for j in model(s) for i in range(N) if i & ~free == j & ~free}
     for s in states:
         assert pair_model(diagonal(s)) == {(i, i) for i in model(s)}
     for p in pairs:
@@ -91,26 +112,37 @@ def test_state_and_pair_operations_match_set_model():
                     pair for pair in pair_model(p) if pair[side] in model(s)
                 }
         for q in pairs:
+            assert pair_model(p.union(q)) == pair_model(p) | pair_model(q)
+            assert pair_model(p.intersection(q)) == pair_model(p) & pair_model(q)
+            assert p.issubset(q) == (pair_model(p) <= pair_model(q))
             assert pair_model(compose(p, q)) == {
                 (i, k) for i, j in pair_model(p) for j2, k in pair_model(q) if j == j2
             }
 
 
 def test_equality_across_representations():
-    pos = IndexSet(4, {0, 1})
-    neg = IndexSet(4, {2, 3}, negated=True)
+    pos = PairSet(4, {0, 1})
+    neg = PairSet(4, {2, 3}, negated=True)
     assert pos == neg and neg == pos
-    assert pos != IndexSet(4, {0, 1, 2})
+    assert pos != PairSet(4, {0, 1, 2})
+    assert IndexSet(4, {0, 1}) == IndexSet(4, {2, 3}).complement()
+    assert IndexSet(4, {0, 1}) != IndexSet(8, {0, 1})
 
 
 def test_materialization_guard():
     big = IndexSet.full(MATERIALIZE_LIMIT + 10)
     with pytest.raises(CapExceeded):
         list(big.indices())
-    # a cylinder is refused by its would-be size, before any enumeration
+    with pytest.raises(CapExceeded):
+        list(PairSet(MATERIALIZE_LIMIT + 10).complement().indices())
+    # a bitmap is refused by its bytes, whatever its members
+    with pytest.raises(CapExceeded):
+        IndexSet((MATERIALIZE_LIMIT + 1) << 3)
+    # an action's pairs are refused by their would-be number, before any
+    # enumeration
     free = (1 << MATERIALIZE_LIMIT.bit_length()) - 1
     with pytest.raises(CapExceeded):
-        cylinder(1 << 40, [0], free)
+        inertia(IndexSet(1 << 24, [0]), free)
 
 
 def test_submasks_enumeration():

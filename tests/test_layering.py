@@ -1,8 +1,9 @@
 """The set representation is known to indexsets.py alone.
 
-Every other module goes through IndexSet's methods and the operations next to
-it; none reads the stored members or the complement flag, or enforces the
-enumeration limit itself. `submasks` is used outside indexsets.py only to
+Every other module goes through the methods of IndexSet (state sets) and
+PairSet (pair sets) and the operations next to them; none reads a state
+set's bitmap, a pair set's stored members or complement flag, or enforces
+the budget itself. `submasks` is used outside indexsets.py only to
 enumerate slot patterns for an oracle or a selection.
 
 The atom rule and the task layer's choice of search are likewise in one
@@ -46,7 +47,7 @@ def test_representation_confined_to_indexsets():
         if path.name == "indexsets.py":
             continue
         for kind, name, function in _uses(path):
-            if kind == "attribute" and name in ("negated", "members"):
+            if kind == "attribute" and name in ("bitmap", "negated", "members"):
                 leaks.append((path.name, function, name))
             elif name == "MATERIALIZE_LIMIT":
                 leaks.append((path.name, function, name))

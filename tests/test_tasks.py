@@ -547,10 +547,6 @@ class TestBranchesAgree:
             nodes = walk(e)
             if any(isinstance(n, F.Lfp) for n in nodes):
                 continue
-            if universe != "pq" and any(
-                isinstance(n, F.Select) and isinstance(n.right, Var) for n in nodes
-            ):
-                continue  # P == Q compares a unary with a binary symbol
             formulas.append(e)
         q_tuples = list(itertools.product(domain.elements, repeat=vocab.arity("Q")))
         for e in formulas:
@@ -567,3 +563,21 @@ class TestBranchesAgree:
                         == ev(wrapped, {"P"}, part, outputs, val, vocab))
             cap = len(domain)
             assert sat_bounded(e, val, cap, vocab) == sat_bounded(wrapped, val, cap, vocab)
+
+    @pytest.mark.parametrize("given_vocabulary", [True, False])
+    def test_selection_between_arities(self, given_vocabulary):
+        """sel[P == Q] with P unary and Q binary holds iff both are empty;
+        every task answers it, on both branches."""
+        domain, vocab, val = _three_element_setup()
+        e = F.Select(Var("P"), Var("Q"), F.Atom("Copy", ("P", "Q")))
+        voc = vocab if given_vocabulary else None
+        for body in (e, F.Lfp("Zv", e)):
+            for p, want in (([], True), ([("a",)], False)):
+                full = Structure.make(domain, vocab, {"P": p, "Q": [(x, x) for (x,) in p]})
+                part = Structure.make(domain, Vocabulary((("P", 1),)), {"P": p})
+                assert mc(body, full, val) is want
+                assert [m == full for m in mx(body, {"P"}, part, val, voc)] == [True] * want
+                witness = ev(body, {"P"}, part, {"Q": full.rel("Q")}, val, voc)
+                assert witness == (full if want else None)
+            empty = Structure.make(Domain(("a",)), vocab, {"P": [], "Q": []})
+            assert sat_bounded(body, val, len(domain), voc) == empty
