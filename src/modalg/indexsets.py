@@ -41,10 +41,10 @@ def _bit_positions(mask: int) -> list[int]:
     return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _columns(bits: int) -> tuple[int, ...]:
-    """cols[b] = the indices in range(2^bits) with bit b set, built by
-    doubling; bits * 2^bits / 8 bytes, and the budget keeps bits <= 24."""
+    """cols[b] = the indices in range(2^bits) with bit b set, by doubling; for
+    the last bit count only, bits * 2^bits / 8 bytes outside the budget."""
     cols = []
     for b in range(bits):
         col, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b

@@ -58,7 +58,7 @@ def infer_arities(e: FlatExpr, valuation: Valuation) -> dict[str, int]:
         if arities.setdefault(var, arity) != arity:
             raise ArityMismatch(f"variable {var} used at arities {arities[var]} and {arity}")
 
-    # post-order: a selection's operands are noted after its inner atoms
+    same: list[tuple[str, str]] = []  # Var == Var selections
     for node in walk(e):
         if isinstance(node, flat.Atom):
             module = valuation.module(node.module)
@@ -76,12 +76,13 @@ def infer_arities(e: FlatExpr, valuation: Valuation) -> dict[str, int]:
                     if isinstance(other, Const) and other.arity is not None:
                         note(op.name, other.arity)
             if isinstance(l, Var) and isinstance(r, Var):
-                # a known arity passes only to an operand without one:
-                # relations of different arities are equal iff both are empty
-                known = arities.get(l.name, arities.get(r.name))
-                if known is not None:
-                    arities.setdefault(l.name, known)
-                    arities.setdefault(r.name, known)
+                same += [(l.name, r.name), (r.name, l.name)]
+    # then a known arity passes only to an operand without one (relations of
+    # different arities are equal iff both are empty), in n passes for n pairs
+    for _ in same:
+        for a, b in same:
+            if a in arities:
+                arities.setdefault(b, arities[a])
     return arities
 
 

@@ -81,6 +81,28 @@ def test_operations_match_set_model():
                 assert model(a.project(free)) == projected(members, free, space)
 
 
+def test_pair_operations_match_set_model():
+    rng = random.Random(99)
+    space = 1 << 12
+    sets = pair_samples(rng, 40, space)
+    models = [model(a) for a in sets]
+    for a, ma in zip(sets, models):
+        assert model(a.complement()) == set(range(space)) - ma
+        assert len(a) == len(ma)
+        assert list(a.indices()) == sorted(ma)
+        assert all((i in a) == (i in ma) for i in range(space))
+    for a, ma in zip(sets, models):
+        for b, mb in zip(sets, models):
+            assert (a == b) == (ma == mb)
+            assert (a == b) <= (hash(a) == hash(b))
+    few = list(zip(sets, models))[:20] + list(zip(sets, models))[-2:]
+    for a, ma in few:
+        for b, mb in few:
+            assert model(a.union(b)) == ma | mb
+            assert model(a.intersection(b)) == ma & mb
+            assert a.issubset(b) == (ma <= mb)
+
+
 BITS = 3  # states 0..7; pairs (i, j) coded (i << BITS) | j
 N = 1 << BITS
 

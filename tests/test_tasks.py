@@ -31,6 +31,7 @@ from modalg.tasks import (
     FONot,
     ev,
     equivalence_check,
+    infer_arities,
     mc,
     mx,
     qe_answers,
@@ -581,3 +582,20 @@ class TestBranchesAgree:
                 assert witness == (full if want else None)
             empty = Structure.make(Domain(("a",)), vocab, {"P": [], "Q": []})
             assert sat_bounded(body, val, len(domain), voc) == empty
+        # an atom fixing Q's arity after the selection in the walk, either
+        # side of a union: the formula holds iff Q is empty (a full P is not)
+        sel = F.Select(Var("P"), Var("Q"), F.Atom("FullP", ("P",)))
+        empty_q = F.Atom("EmptyQ", ("Q",))
+        for u in (F.Union(sel, empty_q), F.Union(empty_q, sel)):
+            assert infer_arities(u, val) == {"P": 1, "Q": 2}
+            p = [("a",)]
+            part = Structure.make(domain, Vocabulary((("P", 1),)), {"P": p})
+            for q, want in (([], True), ([("a", "b")], False)):
+                full = Structure.make(domain, vocab, {"P": p, "Q": q})
+                assert mc(u, full, val) is want
+                assert ev(u, {"P"}, part, {"Q": full.rel("Q")}, val, voc) == (
+                    full if want else None)
+            only = Structure.make(domain, vocab, {"P": p, "Q": []})
+            assert list(mx(u, {"P"}, part, val, voc)) == [only]
+            model = sat_bounded(u, val, len(domain), voc)
+            assert model is not None and mc(u, model, val)
