@@ -2,7 +2,13 @@
 fixed points, the derived operations, and transition-system construction.
 
 Edge sets are possibly-complemented pair sets (see indexsets), so complement
-costs nothing and the intersection sugar -(-a | -b) stays sparse.
+costs nothing and the intersection sugar -(-a | -b) stays sparse. eval_dyn
+builds the pairs of every subterm; the modalities of the state logic do not,
+they follow a process by preimage (lmumu.pre) and come here only for the
+operators that pre cannot follow. Binary fixed points run in the shared loop
+of flat.EvalContext.fixpoint: semi-naive for a body linear in its variable
+(a star's `diag | Z ; a` composes only each round's new pairs), with the
+body's closed subterms (the star's `diag` and `a`) built once.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ class ModuleVar(ProcExpr):
 
 @dataclass(frozen=True)
 class Union(ProcExpr):
+    additive = ("left", "right")
     left: ProcExpr
     right: ProcExpr
 
@@ -84,12 +91,14 @@ class Complement(ProcExpr):
 
 @dataclass(frozen=True)
 class Project(ProcExpr):
+    additive = ("inner",)
     keep: frozenset[str]
     inner: ProcExpr
 
 
 @dataclass(frozen=True)
 class Select(ProcExpr):
+    additive = ("inner",)
     left: Operand
     right: Operand
     inner: ProcExpr
@@ -105,6 +114,7 @@ class Lfp(ProcExpr):
 class Down(ProcExpr):
     """States with an outgoing transition, as a diagonal."""
 
+    additive = ("inner",)
     inner: ProcExpr
 
 
@@ -112,6 +122,7 @@ class Down(ProcExpr):
 class Up(ProcExpr):
     """States with an incoming transition, as a diagonal."""
 
+    additive = ("inner",)
     inner: ProcExpr
 
 
@@ -129,6 +140,7 @@ class Diagonal(ProcExpr):
 
 @dataclass(frozen=True)
 class Compose(ProcExpr):
+    additive = ("left", "right")
     left: ProcExpr
     right: ProcExpr
 
@@ -150,6 +162,7 @@ class Count(ProcExpr):
 class Reverse(ProcExpr):
     """Flip the information-propagation direction of every atomic action."""
 
+    additive = ("inner",)
     inner: ProcExpr
 
 
@@ -157,11 +170,13 @@ class Reverse(ProcExpr):
 class TestEq(ProcExpr):
     """Transitions that start and end with the same structure."""
 
+    additive = ("inner",)
     inner: ProcExpr
 
 
 @dataclass(frozen=True)
 class TestNeq(ProcExpr):
+    additive = ("inner",)
     inner: ProcExpr
 
 
@@ -178,6 +193,7 @@ class ConstTest(ProcExpr):
 class StateTest(ProcExpr):
     """phi? for a two-sorted state formula."""
 
+    additive = ("phi",)
     phi: object  # lmumu.StateExpr; untyped to avoid a circular import
 
 
@@ -360,8 +376,8 @@ def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
     n = u.size
     if isinstance(a, Bottom):
         return PairSet(n * n)
-    if isinstance(a, Test):
-        return diagonal(ctx.extension(a, val))
+    if isinstance(a, TESTS):
+        return diagonal(diagonal_states(a, ctx, val))
     if isinstance(a, Action):
         return inertia(ctx.extension(a, val), u.mask({val.symbol(arg) for arg in a.outputs}))
     if isinstance(a, ModuleVar):
@@ -387,8 +403,6 @@ def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
         return diagonal(targets(_eval_dyn(a.inner, ctx, val)))
     if isinstance(a, UnaryNeg):
         return diagonal(sources(_eval_dyn(a.inner, ctx, val)).complement())
-    if isinstance(a, Diagonal):
-        return diagonal(IndexSet.full(n))
     if isinstance(a, Compose):
         return compose(_eval_dyn(a.left, ctx, val), _eval_dyn(a.right, ctx, val))
     if isinstance(a, Count):
@@ -407,35 +421,50 @@ def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
         return _eval_dyn(a.inner, ctx, val).intersection(diagonal(IndexSet.full(n)))
     if isinstance(a, TestNeq):
         return _eval_dyn(a.inner, ctx, val).intersection(diagonal(IndexSet.full(n)).complement())
+    raise TypeError(f"not a process expression: {a!r}")
+
+
+# The tests: their pairs are {(i, i) : i in diagonal_states(test)}.
+TESTS = (Test, Diagonal, ConstTest, StateTest)
+
+
+def diagonal_states(a: ProcExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
+    """The states a test (one of TESTS) holds on."""
+    u = ctx.universe
+    if isinstance(a, Test):
+        return ctx.extension(a, val)
+    if isinstance(a, Diagonal):
+        return IndexSet.full(u.size)
     if isinstance(a, ConstTest):
         sym = val.symbol(a.var)
         states = values_index_set(u, {sym: a.value.value(u.vocabulary.arity(sym))})
-        return diagonal(states if a.equal else states.complement())
-    if isinstance(a, StateTest):
-        from .lmumu import _eval_state
+        return states if a.equal else states.complement()
+    from .lmumu import _eval_state
 
-        return diagonal(_eval_state(a.phi, ctx, val))
-    raise TypeError(f"not a process expression: {a!r}")
+    return _eval_state(a.phi, ctx, val)
+
+
+def select_side(a: Select) -> Optional[int]:
+    """The side a selection restricts: 0 (the source) when both operands are
+    inputs of the body, 1 (the target) when both are outputs, else None
+    (feedback, or not a legal selection)."""
+    sigma, epsilon = io_vocab(a.inner)
+    for side, vocab in enumerate((sigma, epsilon)):
+        if all(isinstance(op, Const) or op.name in vocab for op in (a.left, a.right)):
+            return side
+    return None
 
 
 def _eval_select(a: Select, ctx: EvalContext, val: Valuation) -> PairSet:
     u = ctx.universe
     n = u.size
-    sigma, epsilon = io_vocab(a.inner)
     inner = _eval_dyn(a.inner, ctx, val)
-
-    def is_in(op: Operand) -> bool:
-        return isinstance(op, Const) or op.name in sigma
-
-    def is_out(op: Operand) -> bool:
-        return isinstance(op, Const) or op.name in epsilon
-
     l, r = a.left, a.right
-    if is_in(l) and is_in(r):
-        return restrict(inner, _select_filter(l, r, val, u), side=0)
-    if is_out(l) and is_out(r):
-        return restrict(inner, _select_filter(l, r, val, u), side=1)
-    if isinstance(l, Var) and l.name in sigma and is_out(r):
+    side = select_side(a)
+    if side is not None:
+        return restrict(inner, _select_filter(l, r, val, u), side)
+    sigma, epsilon = io_vocab(a.inner)
+    if isinstance(l, Var) and l.name in sigma and (isinstance(r, Const) or r.name in epsilon):
         # feedback: guess the input L1 on the source to match L2 on the target
         l1_sym = val.symbol(l.name)
         l1_arity = u.vocabulary.arity(l1_sym)

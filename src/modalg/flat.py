@@ -2,11 +2,14 @@
 fixed points over sets of structures.
 
 Evaluation is explicit-state: extensions are subsets of a materializable
-universe, represented as bitmaps over its indices (see indexsets).
+universe, represented as bitmaps over its indices (see indexsets). The
+evaluation context and the least-fixed-point loop defined here serve the
+flat, process and state sorts alike.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union as TUnion
 
@@ -52,6 +55,7 @@ class ModuleVar(FlatExpr):
 
 @dataclass(frozen=True)
 class Union(FlatExpr):
+    additive = ("left", "right")
     left: FlatExpr
     right: FlatExpr
 
@@ -63,6 +67,7 @@ class Complement(FlatExpr):
 
 @dataclass(frozen=True)
 class Project(FlatExpr):
+    additive = ("inner",)
     keep: frozenset[str]
     inner: FlatExpr
 
@@ -103,6 +108,7 @@ Operand = TUnion[Var, Const]
 
 @dataclass(frozen=True)
 class Select(FlatExpr):
+    additive = ("inner",)
     left: Operand
     right: Operand
     inner: FlatExpr
@@ -237,11 +243,14 @@ class EvalContext:
     """What one evaluation shares across the flat, process and state sorts.
 
     The universe, the atom-extension cache, the optional EvalStats, the
-    optional transition-system record (label -> pair set) and the label
-    memo, which prints each distinct node once.
+    optional transition-system record (label -> pair set), the label memo,
+    which prints each distinct node once, and the fixpoint plans: for each
+    Lfp node, whether its body is linear. The closed subterms of the bodies
+    are registered in `hoisted` (id -> [node] or [node, value]).
     """
 
-    __slots__ = ("universe", "ext_cache", "stats", "record", "labels")
+    __slots__ = ("universe", "ext_cache", "stats", "record", "labels", "plans", "hoisted",
+                 "hoisting")
 
     def __init__(self, universe: Universe, stats: Optional[EvalStats] = None, record=None):
         self.universe = universe
@@ -249,6 +258,9 @@ class EvalContext:
         self.stats = stats
         self.record = record
         self.labels: dict[Node, str] = {}
+        self.plans: dict[int, tuple[Node, bool]] = {}
+        self.hoisted: dict[int, list] = {}
+        self.hoisting = False  # a closed subterm's value is being computed
 
     def label(self, node: Node) -> str:
         text = self.labels.get(node)
@@ -271,26 +283,151 @@ class EvalContext:
     def fixpoint(self, node: Node, val: Valuation, evaluate, box) -> IndexSet:
         """Least fixed point of node.body in node.var. `evaluate` is the
         sort's evaluator; `box` (StructureSet or EdgeSet) wraps an iterate
-        for binding."""
+        for binding.
+
+        The body's closed subterms are evaluated once (see _evaluator). A
+        body linear in the variable is iterated semi-naively: each round
+        applies it to the last round's new members only, and what it
+        yields beyond the members found so far is the next delta
+        (Bancilhon & Ramakrishnan, SIGMOD 1986). The round count is the
+        naive loop's; any other body takes the naive loop.
+        """
         u = self.universe
 
         def step(current: IndexSet) -> IndexSet:
             return evaluate(node.body, self, val.bind(node.var, box(u, current)))
 
-        return _lfp_indexsets(step, box.empty(u).iset, lambda: self.label(node), self.stats)
+        plan = self.plans.get(id(node))
+        if plan is None:
+            linear, closed = fixpoint_plan(node)
+            plan = self.plans[id(node)] = (node, linear)
+            for sub in closed:
+                self.hoisted.setdefault(id(sub), [sub])
+        # the rounds ask for the body's closed subterms again, so they keep
+        # their values even inside a closed subterm being evaluated
+        outer, self.hoisting = self.hoisting, False
+        try:
+            return self._iterate(node, step, box.empty(u).iset, plan[1])
+        finally:
+            self.hoisting = outer
+
+    def _iterate(self, node: Node, step, empty: IndexSet, linear: bool) -> IndexSet:
+        """fixpoint's loop: naive, or semi-naive for a linear body."""
+        if not linear:
+            return _lfp_indexsets(step, empty, lambda: self.label(node), self.stats)
+        acc = delta = empty
+        iterations = 0
+        while True:
+            iterations += 1
+            delta = step(delta).difference(acc)
+            if not delta:
+                break
+            acc = acc.union(delta)
+        if self.stats is not None:
+            self.stats.record_fixpoint(self.label(node), iterations)
+        if self.record is not None:
+            step(acc)  # record every body subformula at its converged value
+        return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _scoping() -> tuple[tuple[type, ...], tuple[type, ...]]:
+    """The variable classes and the binder classes of the three sorts."""
+    from . import dynamic, lmumu
+
+    return (ModuleVar, dynamic.ModuleVar, lmumu.SetVar), (Lfp, dynamic.Lfp, lmumu.Lfp)
+
+
+def fixpoint_plan(node: Node) -> tuple[bool, list[Node]]:
+    """(whether node.body is linear in node.var, the body's closed
+    subterms).
+
+    Linear: the variable occurs free exactly once, and every operator on
+    the way down to it distributes over union in that subterm (its class's
+    `additive` fields). Such a body is f(X) = f({}) | g(X) with g additive,
+    so f(A | D) = f(A) | f(D). Closed: no free module or set variable, so
+    the value is the same in every round.
+    """
+    refs, binders = _scoping()
+    free: dict[int, set[str]] = {}
+    closed: list[Node] = []
+
+    def scan(sub: Node) -> set[str]:
+        if isinstance(sub, refs):
+            names = {sub.name}
+        else:
+            names = set()
+            subs = children(sub)
+            for c in subs:
+                names |= scan(c)
+            if isinstance(sub, binders):
+                names.discard(sub.var)
+        if not names:
+            closed.append(sub)
+        free[id(sub)] = names
+        return names
+
+    scan(node.body)
+    sub = node.body
+    while node.var in free[id(sub)] and not isinstance(sub, refs):
+        holding = [c for c in children(sub) if node.var in free[id(c)]]
+        if len(holding) != 1 or not any(getattr(sub, f) is holding[0] for f in sub.additive):
+            return False, closed
+        sub = holding[0]
+    return node.var in free[id(sub)], closed
+
+
+def _name_node(exc: CapExceeded, node: Node, ctx: EvalContext) -> None:
+    """Name the innermost node in a CapExceeded, once."""
+    if exc.node is None:
+        exc.node = node
+        exc.args = (f"{exc} (in: {ctx.label(node)})",)
 
 
 def _evaluator(evaluate):
-    """Recursion entry of an evaluator `evaluate(node, ctx, val)`: a
-    CapExceeded raised below it names the innermost node being evaluated."""
+    """Recursion entry of a sort's evaluator `evaluate(node, ctx, val)`.
+
+    A CapExceeded raised below it names the innermost node being evaluated.
+    A closed subterm of a fixpoint body, registered in ctx.hoisted, is
+    evaluated once per context; closed means its value does not depend on
+    `val`. Only the outermost closed subterm under evaluation keeps its
+    value, as the ones inside it are not asked for again once it has its
+    own. lmumu.pre follows a process without evaluating it as a whole, so
+    the closed subterms it hands to an evaluator are outermost, and each
+    fixpoint loop starts a new outermost level (EvalContext.fixpoint).
+    """
 
     def entry(node, ctx: EvalContext, val: Valuation) -> IndexSet:
+        slot = ctx.hoisted.get(id(node)) if ctx.hoisted else None
+        if slot is not None and len(slot) == 2:
+            return slot[1]
+        keep = slot is not None and not ctx.hoisting
+        if keep:
+            ctx.hoisting = True
         try:
-            return evaluate(node, ctx, val)
+            value = evaluate(node, ctx, val)
         except CapExceeded as exc:
-            if exc.node is None:
-                exc.node = node
-                exc.args = (f"{exc} (in: {ctx.label(node)})",)
+            _name_node(exc, node, ctx)
+            raise
+        finally:
+            if keep:
+                ctx.hoisting = False
+        if keep:
+            slot.append(value)
+        return value
+
+    return entry
+
+
+def _named(fn):
+    """Entry of a function `fn(node, ctx, ...)` below which a CapExceeded
+    names the innermost node, as in _evaluator, with no hoisting."""
+
+    def entry(node, ctx: EvalContext, *args):
+        try:
+            return fn(node, ctx, *args)
+        except CapExceeded as exc:
+            _name_node(exc, node, ctx)
             raise
 
     return entry

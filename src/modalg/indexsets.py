@@ -55,6 +55,13 @@ def _columns(bits: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
+@functools.lru_cache(maxsize=1)
+def _full_mask(space: int) -> int:
+    """range(space) as a bitmap, for the last space only (space/8 bytes
+    outside the budget): full sets and complements reuse it."""
+    return (1 << space) - 1
+
+
 class IndexSet:
     """Immutable subset of range(space): a state set, one bit per index."""
 
@@ -67,11 +74,13 @@ class IndexSet:
                 f"a state set over {space} indices takes {space >> 3} bytes, "
                 f"over the limit ({MATERIALIZE_LIMIT})"
             )
-        buf = bytearray((space + 7) >> 3)
+        buf = None  # allocated at the first index, so an empty set costs none
         for i in indices:
+            if buf is None:
+                buf = bytearray((space + 7) >> 3)
             buf[i >> 3] |= 1 << (i & 7)
         self.space = space
-        self.bitmap = int.from_bytes(buf, "little")
+        self.bitmap = 0 if buf is None else int.from_bytes(buf, "little")
 
     def _with(self, bitmap: int) -> "IndexSet":
         out = IndexSet.__new__(IndexSet)
@@ -81,7 +90,7 @@ class IndexSet:
 
     @classmethod
     def full(cls, space: int) -> "IndexSet":
-        return cls(space).complement()
+        return cls(space)._with(_full_mask(space))
 
     def __len__(self) -> int:
         return self.bitmap.bit_count()
@@ -93,7 +102,7 @@ class IndexSet:
         return self.bitmap != 0
 
     def complement(self) -> "IndexSet":
-        return self._with(self.bitmap ^ ((1 << self.space) - 1))
+        return self._with(self.bitmap ^ _full_mask(self.space))
 
     def union(self, other: "IndexSet") -> "IndexSet":
         return self._with(self.bitmap | other.bitmap)
@@ -172,6 +181,9 @@ class PairSet:
     def intersection(self, other: "PairSet") -> "PairSet":
         return self.complement().union(other.complement()).complement()
 
+    def difference(self, other: "PairSet") -> "PairSet":
+        return self.intersection(other.complement())
+
     def issubset(self, other: "PairSet") -> bool:
         a, b = self, other
         if not a.negated and not b.negated:
@@ -236,7 +248,7 @@ def cylinder(space: int, keys: Iterable[int], free_mask: int) -> IndexSet:
 def _pair_cylinder(space: int, keys: Collection[int], free_mask: int) -> PairSet:
     """The sparse cylinder, refused by its would-be size before enumerating."""
     _check_size(len(keys) << free_mask.bit_count(), space)
-    subs = list(submasks(free_mask))
+    subs = list(submasks(free_mask)) if keys else []
     return PairSet(space, [k | f for k in keys for f in subs])
 
 

@@ -1,6 +1,15 @@
 """Two-sorted syntax (state formulae over process formulae), its evaluation,
 the translation into the minimal one-sorted syntax, and the existential-rule
 embedding with a bounded chase.
+
+<a> phi and [a] phi are evaluated by preimage, `pre(a, X)`, which follows
+actions, tests, union, composition, counting, dn/neg, input or output
+selections and reverse down to state sets and builds no pairs; pair-level
+complement and projection, feedback selection, =?/!=?, up, module variables
+and binary fixed points go through its one fallback, which builds a's pairs
+(dynamic._eval_dyn) and takes their preimage. State fixed points share
+flat.EvalContext.fixpoint: `mu X . goal | <a> X` is linear in X and iterated
+on each round's new states only.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from . import dynamic
 from .core import Structure, StructureSet, Universe, Valuation
 from .dynamic import ProcExpr
 from .errors import UnboundSetVar, UnsafeRule
-from .flat import EvalContext, EvalStats, _evaluator
+from .flat import EvalContext, EvalStats, _evaluator, _named, _select_filter
 from .indexsets import IndexSet, preimage
 from .syntax import Node, map_children, walk
 
@@ -36,6 +45,7 @@ class SetVar(StateExpr):
 
 @dataclass(frozen=True)
 class Or(StateExpr):
+    additive = ("left", "right")
     left: StateExpr
     right: StateExpr
 
@@ -47,12 +57,14 @@ class Not(StateExpr):
 
 @dataclass(frozen=True)
 class And(StateExpr):
+    additive = ("left", "right")
     left: StateExpr
     right: StateExpr
 
 
 @dataclass(frozen=True)
 class Diamond(StateExpr):
+    additive = ("process", "inner")
     process: ProcExpr
     inner: StateExpr
 
@@ -112,16 +124,66 @@ def _eval_state(phi: StateExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
     if isinstance(phi, Not):
         return _eval_state(phi.inner, ctx, val).complement()
     if isinstance(phi, Diamond):
-        edges = dynamic._eval_dyn(phi.process, ctx, val)
-        targets = _eval_state(phi.inner, ctx, val)
-        return preimage(edges, targets)
+        return pre(phi.process, ctx, val, _eval_state(phi.inner, ctx, val))
     if isinstance(phi, Box):
-        edges = dynamic._eval_dyn(phi.process, ctx, val)
         bad = _eval_state(phi.inner, ctx, val).complement()
-        return preimage(edges, bad).complement()
+        return pre(phi.process, ctx, val, bad).complement()
     if isinstance(phi, Lfp):
         return ctx.fixpoint(phi, val, _eval_state, StructureSet)
     raise TypeError(f"not a state expression: {phi!r}")
+
+
+@_named
+def pre(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
+    """{i : (i, j) in a for some j in states}: all that <a> and [a] need of a.
+
+    The operators below are followed down to state sets, with no pair built
+    (Burch, Clarke, McMillan et al., LICS 1990); every other operator goes
+    through the one fallback, _pre_by_pairs.
+    """
+    D = dynamic
+    u = ctx.universe
+    if isinstance(a, D.Action):
+        # a's pairs are (i, j), j in the extension, i = j off the output bits
+        outputs = u.mask({val.symbol(arg) for arg in a.outputs})
+        return ctx.extension(a, val).intersection(states).project(outputs)
+    if isinstance(a, D.TESTS):
+        return D.diagonal_states(a, ctx, val).intersection(states)
+    if isinstance(a, D.Bottom):
+        return IndexSet(u.size)
+    if isinstance(a, D.Union):
+        return pre(a.left, ctx, val, states).union(pre(a.right, ctx, val, states))
+    if isinstance(a, D.Compose):
+        return pre(a.left, ctx, val, pre(a.right, ctx, val, states))
+    if isinstance(a, D.Count):
+        # pre of the k-th power, k = 0..high; the body is evaluated even
+        # when high = 0, so its errors and statistics are eval_dyn's
+        acc = states if a.low == 0 else IndexSet(u.size)
+        for k in range(1, max(a.high, 1) + 1):
+            states = pre(a.inner, ctx, val, states)
+            if a.low <= k <= a.high:
+                acc = acc.union(states)
+        return acc
+    if isinstance(a, (D.Down, D.UnaryNeg)):
+        has_step = pre(a.inner, ctx, val, IndexSet.full(u.size))
+        return (has_step if isinstance(a, D.Down) else has_step.complement()).intersection(states)
+    if isinstance(a, D.Reverse):
+        return pre(D.flip_actions(a.inner), ctx, val, states)
+    if isinstance(a, D.Select):
+        side = D.select_side(a)
+        if side is not None:
+            keep = _select_filter(a.left, a.right, val, u)
+            if side == 0:
+                return pre(a.inner, ctx, val, states).intersection(keep)
+            return pre(a.inner, ctx, val, states.intersection(keep))
+    return _pre_by_pairs(a, ctx, val, states)
+
+
+def _pre_by_pairs(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
+    """The fallback of pre: a's pairs, then their preimage. Taken by
+    pair-level Complement and Project, feedback Select, TestEq/TestNeq, Up,
+    ModuleVar and Lfp."""
+    return preimage(dynamic._eval_dyn(a, ctx, val), states)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,15 @@ _SUBTERM_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 class Node:
-    """Base class of the flat, process, state and first-order ASTs."""
+    """Base class of the flat, process, state and first-order ASTs.
+
+    `additive` names the subterm fields in which the operator distributes
+    over union, op(.., A | B, ..) = op(.., A, ..) | op(.., B, ..); the
+    fixpoint loop reads it to decide when a body may be iterated on deltas.
+    """
 
     __slots__ = ()
+    additive: tuple[str, ...] = ()
 
 
 def _subterm_fields(node: Node) -> tuple[str, ...]:

@@ -50,8 +50,12 @@ MX_RESULT_LIMIT = 1 << 20
 # Vocabulary inference for structure-level tasks
 
 
-def infer_arities(e: FlatExpr, valuation: Valuation) -> dict[str, int]:
-    """Arity of every variable occurring in e, from module signatures."""
+def infer_arities(
+    e: FlatExpr, valuation: Valuation, outputs: Mapping[str, RelationValue] = {}
+) -> dict[str, int]:
+    """Arity of every variable occurring in e, from module signatures; a
+    variable they leave open takes its arity from its value in `outputs`, if
+    any, before `Var == Var` selections pass arities on."""
     arities: dict[str, int] = {}
 
     def note(var: str, arity: int) -> None:
@@ -77,6 +81,8 @@ def infer_arities(e: FlatExpr, valuation: Valuation) -> dict[str, int]:
                         note(op.name, other.arity)
             if isinstance(l, Var) and isinstance(r, Var):
                 same += [(l.name, r.name), (r.name, l.name)]
+    for var, value in outputs.items():
+        arities.setdefault(var, value.arity)
     # then a known arity passes only to an operand without one (relations of
     # different arities are equal iff both are empty), in n passes for n pairs
     for _ in same:
@@ -87,10 +93,14 @@ def infer_arities(e: FlatExpr, valuation: Valuation) -> dict[str, int]:
 
 
 def task_vocabulary(
-    e: FlatExpr, valuation: Valuation, base: Optional[Vocabulary] = None
+    e: FlatExpr,
+    valuation: Valuation,
+    base: Optional[Vocabulary] = None,
+    outputs: Mapping[str, RelationValue] = {},
 ) -> Vocabulary:
-    """Base symbols (declaration order) plus inferred extras, sorted by name."""
-    arities = infer_arities(e, valuation)
+    """Base symbols (declaration order) plus inferred extras, sorted by name;
+    an output's arity is its given value's where the modules leave it open."""
+    arities = infer_arities(e, valuation, outputs)
     symbols: list[tuple[str, int]] = list(base.symbols) if base is not None else []
     known = {n for n, _ in symbols}
     extras = sorted(
@@ -341,7 +351,7 @@ def ev(
             f"outputs must interpret exactly the free non-input variables "
             f"{sorted(expected_outputs)}, got {sorted(outputs)}"
         )
-    vocab = vocabulary or task_vocabulary(e, valuation, structure.vocabulary)
+    vocab = vocabulary or task_vocabulary(e, valuation, structure.vocabulary, outputs)
     base: dict[str, RelationValue] = {s: structure.rel(s) for s in sigma_syms}
     for var, value in outputs.items():
         sym = valuation.symbol(var)
@@ -768,7 +778,7 @@ def equivalence_check(
             f"designated inputs/outputs {sorted(sigma | output_vars)} must cover the "
             f"free variables {sorted(free)}"
         )
-    vocab = vocabulary or task_vocabulary(e, valuation, structure.vocabulary)
+    vocab = vocabulary or task_vocabulary(e, valuation, structure.vocabulary, outputs)
     universe = build_universe(structure.domain, vocab, cap)
     arities = infer_arities(e, valuation)
 

@@ -3,7 +3,7 @@
 import random
 
 from modalg import dynamic, flat, lmumu
-from modalg.core import Domain, Valuation, propositional_module
+from modalg.core import AtomicModule, Domain, Valuation, Vocabulary, propositional_module
 from modalg.flat import Const, Var
 
 SETP = dynamic.Action("FullP", ("P",), frozenset(), frozenset({"P"}))
@@ -11,6 +11,25 @@ SETQ_COPY = dynamic.Action("Copy", ("P", "Q"), frozenset({"P"}), frozenset({"Q"}
 TEST_FULLP = dynamic.Test("FullP", ("P",))
 PROP_FULLP = lmumu.Prop("FullP", ("P",))
 PROP_EMPTYQ = lmumu.Prop("EmptyQ", ("Q",))
+
+
+def three_element_setup():
+    """Domain {a,b,c} with P unary (3 bits) and Q binary (9 bits): 4,096
+    structures. The modules take random_flat's names; Copy holds when Q is
+    the diagonal of P."""
+    domain = Domain(("a", "b", "c"))
+    vocab = Vocabulary((("P", 1), ("Q", 2)))
+    modules = {
+        "FullP": AtomicModule.builtin("FullP", [("P0", 1)],
+                                      fn=lambda d, r: len(r[0].tuples) == len(d)),
+        "EmptyQ": AtomicModule.builtin("EmptyQ", [("Q0", 2)], fn=lambda d, r: not r[0].tuples),
+        "NonemptyP": AtomicModule.builtin("NonemptyP", [("N0", 1)],
+                                          fn=lambda d, r: bool(r[0].tuples)),
+        "Copy": AtomicModule.builtin(
+            "Copy", [("A", 1), ("B", 2)],
+            fn=lambda d, r: r[1].tuples == {(x, x) for (x,) in r[0].tuples}),
+    }
+    return domain, vocab, Valuation(domain, {}, modules)
 
 
 def random_flat(rng: random.Random, depth: int) -> flat.FlatExpr:
@@ -91,6 +110,69 @@ def random_state(rng: random.Random, depth: int) -> lmumu.StateExpr:
         step = lmumu.Diamond(random_proc_with_tests(rng, depth - 1), lmumu.SetVar("X"))
         return lmumu.Lfp("X", lmumu.Or(base, step))
     return random_state(rng, depth - 1)
+
+
+# Process leaves valid on the P/Q universe and on three_element_setup's
+ANY_PROC_LEAVES = (
+    dynamic.Bottom(), dynamic.Diagonal(), TEST_FULLP, dynamic.Test("EmptyQ", ("Q",)),
+    dynamic.Test("NonemptyP", ("P",)), SETP, SETQ_COPY,
+    dynamic.Action("EmptyQ", ("Q",), frozenset(), frozenset({"Q"})),
+    dynamic.ConstTest("P", Const.of([("a",)]), True),
+    dynamic.ConstTest("P", Const.of([("a",)]), False),
+)
+# selection operands: inputs, outputs or feedback depending on the body
+ANY_SELECT_OPERANDS = (
+    (Var("P"), Const.of([("a",)])), (Const.of([("a",)]), Var("P")),
+    (Var("P"), Var("Q")), (Var("Q"), Var("P")),
+)
+KEEPS = (frozenset(), frozenset({"P"}), frozenset({"Q"}), frozenset({"P", "Q"}))
+
+
+def random_any_proc(
+    rng: random.Random, depth: int, bound: tuple[str, ...] = (), keeps=KEEPS
+) -> dynamic.ProcExpr:
+    """Process formulas using every ProcExpr class, valid on the P/Q universe
+    and on three_element_setup's; `bound` names module variables in scope,
+    `keeps` the variable sets a projection may keep."""
+    if depth <= 0:
+        if bound and rng.random() < 0.3:
+            return dynamic.ModuleVar(rng.choice(bound))
+        return rng.choice(ANY_PROC_LEAVES)
+
+    def sub(bound=bound) -> dynamic.ProcExpr:
+        return random_any_proc(rng, depth - 1, bound, keeps)
+
+    pick = rng.randrange(14)
+    if pick == 0:
+        return dynamic.Union(sub(), sub())
+    if pick == 1:
+        return dynamic.Compose(sub(), sub())
+    if pick == 2:
+        return dynamic.Complement(sub())
+    if pick == 3:
+        return dynamic.Project(rng.choice(keeps), sub())
+    if pick == 4:
+        left, right = rng.choice(ANY_SELECT_OPERANDS)
+        return dynamic.Select(left, right, sub())
+    if pick == 5:
+        # a star-like body, linear in Z, or Z ; Z
+        z = f"Z{len(bound)}"
+        step, base = sub(bound + (z,)), sub()
+        shape = rng.randrange(3)
+        var = dynamic.ModuleVar(z)
+        loop = [dynamic.Compose(var, step), dynamic.Compose(step, var),
+                dynamic.Compose(var, var)][shape]
+        return dynamic.Lfp(z, dynamic.Union(base, loop))
+    if pick in (6, 7, 8):
+        return (dynamic.Down, dynamic.Up, dynamic.UnaryNeg)[pick - 6](sub())
+    if pick == 9:
+        low = rng.randrange(3)
+        return dynamic.Count(sub(), low, low + rng.randrange(3))
+    if pick in (10, 11, 12):
+        return (dynamic.Reverse, dynamic.TestEq, dynamic.TestNeq)[pick - 10](sub())
+    phi = rng.choice([PROP_FULLP, lmumu.Not(PROP_EMPTYQ),
+                      lmumu.Diamond(rng.choice(ANY_PROC_LEAVES), PROP_FULLP)])
+    return dynamic.StateTest(phi)
 
 
 def random_proc_with_tests(rng: random.Random, depth: int) -> dynamic.ProcExpr:

@@ -24,7 +24,7 @@ from modalg.dynamic import (
     kleene_star,
 )
 from modalg.errors import IllegalSelect
-from modalg.flat import Const, Var
+from modalg.flat import Const, EvalStats, Var
 from modalg.printer import to_text
 
 
@@ -492,3 +492,28 @@ class TestTransitionSystem:
         ts = build_transition_system(star, val, u)
         assert len(ts.order) == 8
         assert len(calls) == len(ts.order)
+
+    def test_closed_subterms_built_once_per_fixpoint(self, monkeypatch):
+        # the star's body, diag | Zs ; (Copy(P->Q) | Copy(Q->R)), runs 4
+        # rounds; its closed subterms (the diagonal and the action union) are
+        # built in the first only, with or without a transition-system record
+        domain = Domain(("a", "b"))
+        u = build_universe(domain, Vocabulary(tuple((s, 1) for s in "PQRS")))
+        val = Valuation(domain, {}, {"Copy": AtomicModule.builtin(
+            "Copy", [("A", 1), ("B", 1)], fn=lambda d, rels: rels[0] == rels[1])})
+        star = kleene_star(D.Union(
+            D.Action("Copy", ("P", "Q"), frozenset({"P"}), frozenset({"Q"})),
+            D.Action("Copy", ("Q", "R"), frozenset({"Q"}), frozenset({"R"})),
+        ))
+        built = {"inertia": 0, "diagonal": 0}
+        for name in built:
+            original = getattr(D, name)
+            monkeypatch.setattr(D, name, lambda *args, _name=name, _fn=original: (
+                built.__setitem__(_name, built[_name] + 1) or _fn(*args)))
+        stats = EvalStats()
+        eval_dyn(star, val, u, stats)
+        assert stats.fixpoint_iterations == {to_text(star): 4}
+        assert built == {"inertia": 2, "diagonal": 1}
+        built.update(inertia=0, diagonal=0)
+        build_transition_system(star, val, u)
+        assert built == {"inertia": 2, "diagonal": 1}

@@ -131,20 +131,38 @@ def test_state_set_over_byte_budget_refused():
 EMPTY6 = D.Action("Empty", tuple(f"P{k}" for k in range(6)), frozenset({"P0"}),
                   frozenset(f"P{k}" for k in range(1, 6)))
 EMPTY6_LABEL = "Empty(in P0; out P1, P2, P3, P4, P5)"
+PROP_EMPTY6 = S.Prop("Empty", EMPTY6.args)
 
 
+def _empty6_valuation(domain):
+    empty = AtomicModule.builtin("Empty", [(f"A{k}", 1) for k in range(6)],
+                                 fn=lambda d, rels: not any(r.tuples for r in rels))
+    return Valuation(domain, {}, {"Empty": empty})
+
+
+# A diamond over the action itself needs no pairs (see the next test); one
+# over its complement still materializes the action's pairs.
 @pytest.mark.parametrize("evaluate, node", [
     (eval_dyn, EMPTY6),
-    (eval_state, S.Diamond(EMPTY6, S.Prop("Empty", EMPTY6.args))),
+    (eval_state, S.Diamond(D.Complement(EMPTY6), PROP_EMPTY6)),
 ], ids=["action", "diamond"])
 def test_oversized_pair_set_names_innermost_node(evaluate, node):
     domain, u = _unary_universe_24()
-    empty = AtomicModule.builtin("Empty", [(f"A{k}", 1) for k in range(6)],
-                                 fn=lambda d, rels: not any(r.tuples for r in rels))
-    val = Valuation(domain, {}, {"Empty": empty})
+    val = _empty6_valuation(domain)
     start = time.perf_counter()
     with pytest.raises(CapExceeded) as info:
         evaluate(node, val, u)
     assert str(info.value).endswith(f"(in: {EMPTY6_LABEL})")
     assert info.value.node == EMPTY6
+    assert time.perf_counter() - start < 1.0
+
+
+def test_diamond_over_oversized_action_needs_no_pairs():
+    """<EMPTY6> Empty is a preimage: the states whose P0 is empty, 2^22 of
+    them, with none of the action's 2^22 pairs built."""
+    domain, u = _unary_universe_24()
+    val = _empty6_valuation(domain)
+    start = time.perf_counter()
+    result = eval_state(S.Diamond(EMPTY6, PROP_EMPTY6), val, u)
+    assert len(result) == 1 << 22
     assert time.perf_counter() - start < 1.0

@@ -167,6 +167,18 @@ def test_materialization_guard():
         inertia(IndexSet(1 << 24, [0]), free)
 
 
+def test_empty_action_lists_no_pattern(monkeypatch):
+    # an action with an empty extension holds no pair, and building it must
+    # not list the 2^24 patterns of its free bits
+    import modalg.indexsets as indexsets
+
+    def refuse(mask):
+        raise AssertionError("free-bit patterns listed for no key")
+
+    monkeypatch.setattr(indexsets, "submasks", refuse)
+    assert len(inertia(IndexSet(1 << 24), (1 << 24) - 1)) == 0
+
+
 def test_submasks_enumeration():
     assert set(submasks(0b101)) == {0b000, 0b001, 0b100, 0b101}
     assert list(submasks(0)) == [0]

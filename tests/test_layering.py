@@ -6,8 +6,8 @@ set's bitmap, a pair set's stored members or complement flag, or enforces
 the budget itself. `submasks` is used outside indexsets.py only to
 enumerate slot patterns for an oracle or a selection.
 
-The atom rule and the task layer's choice of search are likewise in one
-function each.
+The atom rule, the task layer's choice of search and the modalities'
+fallback to pair sets are likewise in one function each.
 """
 
 import ast
@@ -77,3 +77,17 @@ def test_one_model_search_fork():
     tasks = next(path for path in SOURCES if path.name == "tasks.py")
     forks = _functions_using(tasks, "_needs_universe")
     assert len(forks) == 1, forks
+
+
+def test_one_pair_fallback_for_modalities():
+    """Diamonds and boxes go through lmumu.pre; a process's pairs are built
+    for them, and their preimage taken, only in pre's one fallback."""
+    fallback = {("lmumu.py", "_pre_by_pairs")}
+    preimage_users = {
+        (path.name, function)
+        for path in SOURCES if path.name != "indexsets.py"
+        for function in _functions_using(path, "preimage")
+    }
+    assert preimage_users == fallback
+    lmumu = next(path for path in SOURCES if path.name == "lmumu.py")
+    assert {("lmumu.py", f) for f in _functions_using(lmumu, "_eval_dyn")} == fallback

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import rel, structure_pq
-from _gen import PROP_FULLP, SETP, random_flat
+from _gen import PROP_FULLP, SETP, random_flat, three_element_setup
 from modalg import dynamic as D
 from modalg import flat as F
 from modalg import lmumu as S
@@ -38,6 +38,7 @@ from modalg.tasks import (
     qe_encode,
     reach,
     sat_bounded,
+    task_vocabulary,
     temp_mc,
     temp_mc_search,
     temp_sat_prop,
@@ -510,25 +511,6 @@ class TestTaskLadder:
         assert checked > 0
 
 
-def _three_element_setup():
-    """Domain {a,b,c} with P unary (3 bits) and Q binary (9 bits): 4,096
-    structures. The modules take random_flat's names; Copy holds when Q is
-    the diagonal of P."""
-    domain = Domain(("a", "b", "c"))
-    vocab = Vocabulary((("P", 1), ("Q", 2)))
-    modules = {
-        "FullP": AtomicModule.builtin("FullP", [("P0", 1)],
-                                      fn=lambda d, r: len(r[0].tuples) == len(d)),
-        "EmptyQ": AtomicModule.builtin("EmptyQ", [("Q0", 2)], fn=lambda d, r: not r[0].tuples),
-        "NonemptyP": AtomicModule.builtin("NonemptyP", [("N0", 1)],
-                                          fn=lambda d, r: bool(r[0].tuples)),
-        "Copy": AtomicModule.builtin(
-            "Copy", [("A", 1), ("B", 2)],
-            fn=lambda d, r: r[1].tuples == {(x, x) for (x,) in r[0].tuples}),
-    }
-    return domain, vocab, Valuation(domain, {}, modules)
-
-
 class TestBranchesAgree:
     """A vacuous fixed point forces the universe branch of mc/mx/ev/
     sat_bounded; on fixpoint-free formulas both branches give one answer."""
@@ -539,7 +521,7 @@ class TestBranchesAgree:
             domain, vocab, _, val = pq
             count, depth, samples = 12, 3, 4
         else:  # a hidden Q has 512 values, so keep projections shallow
-            domain, vocab, val = _three_element_setup()
+            domain, vocab, val = three_element_setup()
             count, depth, samples = 8, 2, 2
         rng = random.Random(83)
         formulas = []
@@ -569,7 +551,7 @@ class TestBranchesAgree:
     def test_selection_between_arities(self, given_vocabulary):
         """sel[P == Q] with P unary and Q binary holds iff both are empty;
         every task answers it, on both branches."""
-        domain, vocab, val = _three_element_setup()
+        domain, vocab, val = three_element_setup()
         e = F.Select(Var("P"), Var("Q"), F.Atom("Copy", ("P", "Q")))
         voc = vocab if given_vocabulary else None
         for body in (e, F.Lfp("Zv", e)):
@@ -599,3 +581,18 @@ class TestBranchesAgree:
             assert list(mx(u, {"P"}, part, val, voc)) == [only]
             model = sat_bounded(u, val, len(domain), voc)
             assert model is not None and mc(u, model, val)
+
+    def test_output_arity_taken_from_outputs(self):
+        """Q occurs only in sel[P == Q], so the modules leave its arity open;
+        without a vocabulary, ev takes it from the binary output given, as
+        task_vocabulary does."""
+        domain, vocab, val = three_element_setup()
+        e = F.Select(Var("P"), Var("Q"), F.Complement(F.Atom("FullP", ("P",))))
+        part = Structure.make(domain, Vocabulary((("P", 1),)), {"P": []})
+        both_empty = Structure.make(domain, vocab, {"P": [], "Q": []})
+        for q, want in (([], both_empty), ([("a", "b")], None)):
+            outputs = {"Q": rel(2, *q)}
+            assert ev(e, {"P"}, part, outputs, val) == want
+            assert ev(e, {"P"}, part, outputs, val, vocab) == want
+        assert task_vocabulary(e, val, part.vocabulary, {"Q": rel(2)}).symbols == (
+            ("P", 1), ("Q", 2))
