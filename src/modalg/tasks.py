@@ -51,7 +51,7 @@ MX_RESULT_LIMIT = 1 << 20
 
 
 def infer_arities(
-    e: FlatExpr, valuation: Valuation, outputs: Mapping[str, RelationValue] = {}
+    e: FlatExpr, valuation: Valuation, outputs: Optional[Mapping[str, RelationValue]] = None
 ) -> dict[str, int]:
     """Arity of every variable occurring in e, from module signatures; a
     variable they leave open takes its arity from its value in `outputs`, if
@@ -81,7 +81,7 @@ def infer_arities(
                         note(op.name, other.arity)
             if isinstance(l, Var) and isinstance(r, Var):
                 same += [(l.name, r.name), (r.name, l.name)]
-    for var, value in outputs.items():
+    for var, value in (outputs or {}).items():
         arities.setdefault(var, value.arity)
     # then a known arity passes only to an operand without one (relations of
     # different arities are equal iff both are empty), in n passes for n pairs
@@ -96,7 +96,7 @@ def task_vocabulary(
     e: FlatExpr,
     valuation: Valuation,
     base: Optional[Vocabulary] = None,
-    outputs: Mapping[str, RelationValue] = {},
+    outputs: Optional[Mapping[str, RelationValue]] = None,
 ) -> Vocabulary:
     """Base symbols (declaration order) plus inferred extras, sorted by name;
     an output's arity is its given value's where the modules leave it open."""
