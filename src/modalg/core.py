@@ -354,6 +354,27 @@ class Valuation:
         return Valuation(self.domain, self.var_map, mods, dict(self.env))
 
 
+def _bound_symbols(
+    module: AtomicModule, var_to_symbol: Mapping[str, str], vocabulary: Vocabulary
+) -> list[str]:
+    """The symbols the v-image binds vvoc(module) to, in vvoc order; checks
+    that each is in the vocabulary at its variable's arity."""
+    symbols = []
+    for var, arity in module.vvoc:
+        if var not in var_to_symbol:
+            raise UnmappedVariable(f"variable {var!r} of module {module.name} is unmapped")
+        sym = var_to_symbol[var]
+        if sym not in vocabulary:
+            raise UnmappedVariable(f"symbol {sym!r} not in vocabulary")
+        if vocabulary.arity(sym) != arity:
+            raise ArityMismatch(
+                f"module {module.name}: variable {var} (arity {arity}) bound to "
+                f"symbol {sym} (arity {vocabulary.arity(sym)})"
+            )
+        symbols.append(sym)
+    return symbols
+
+
 def module_membership(
     module: AtomicModule, var_to_symbol: Mapping[str, str], structure: Structure
 ) -> bool:
@@ -362,20 +383,8 @@ def module_membership(
     Reads only the v-images of vvoc(module); raises ArityMismatch when the
     bound symbol's arity differs from the variable's.
     """
-    rels = []
-    for var, arity in module.vvoc:
-        if var not in var_to_symbol:
-            raise UnmappedVariable(f"variable {var!r} of module {module.name} is unmapped")
-        sym = var_to_symbol[var]
-        if sym not in structure.vocabulary:
-            raise UnmappedVariable(f"symbol {sym!r} not in structure vocabulary")
-        if structure.vocabulary.arity(sym) != arity:
-            raise ArityMismatch(
-                f"module {module.name}: variable {var} (arity {arity}) bound to "
-                f"symbol {sym} (arity {structure.vocabulary.arity(sym)})"
-            )
-        rels.append(structure.rel(sym))
-    return module.accepts(structure.domain, rels)
+    symbols = _bound_symbols(module, var_to_symbol, structure.vocabulary)
+    return module.accepts(structure.domain, [structure.rel(sym) for sym in symbols])
 
 
 # ---------------------------------------------------------------------------
@@ -547,19 +556,7 @@ def extension_index_set(
     untouched slots, so the membership oracle runs 2^(vvoc bits) times, not
     2^(total bits).
     """
-    symbols = []
-    for var, arity in module.vvoc:
-        if var not in var_to_symbol:
-            raise UnmappedVariable(f"variable {var!r} of module {module.name} is unmapped")
-        sym = var_to_symbol[var]
-        if sym not in universe.vocabulary:
-            raise UnmappedVariable(f"symbol {sym!r} not in vocabulary")
-        if universe.vocabulary.arity(sym) != arity:
-            raise ArityMismatch(
-                f"module {module.name}: variable {var} (arity {arity}) bound to "
-                f"symbol {sym} (arity {universe.vocabulary.arity(sym)})"
-            )
-        symbols.append(sym)
+    symbols = _bound_symbols(module, var_to_symbol, universe.vocabulary)
     key = (module.name, tuple(symbols))
     if cache is not None and key in cache:
         return cache[key]

@@ -1,6 +1,12 @@
 """The calculus of binary relations: actions with inertia, tests, binary
 fixed points, the derived operations, and transition-system construction.
 
+The operators this sort shares with the flat algebra (bot, module
+variables, union, complement, projection, selection, mu, and the sugar
+intersect/minus) are flat's classes, re-exported here; the direction of
+information propagation is on the atoms alone (Action's inputs and
+outputs). This module declares only the process-only nodes.
+
 Edge sets are possibly-complemented pair sets (see indexsets), so complement
 costs nothing and the intersection sugar -(-a | -b) stays sparse. eval_dyn
 builds the pairs of every subterm; the modalities of the state logic do not,
@@ -17,12 +23,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .core import RelationValue, Universe, Valuation, values_index_set
-from .errors import (
-    IllegalSelect,
-    UnboundModuleVar,
-    WellformednessError,
-)
-from .flat import Const, EvalContext, EvalStats, Var, Operand, _evaluator, _select_filter
+from .errors import IllegalSelect, UnboundModuleVar, WellformednessError
+# the operators shared with the flat algebra, re-exported
+from .flat import Bottom, Complement, Lfp, ModuleVar, Project, Select, Union, intersect, minus
+from .flat import Const, EvalContext, EvalStats, ProcExpr, Var, _evaluator, _select_filter
 from .indexsets import (
     IndexSet,
     PairSet,
@@ -33,18 +37,7 @@ from .indexsets import (
     sources,
     targets,
 )
-from .syntax import Node, children, map_children, walk
-
-
-class ProcExpr(Node):
-    """Base class for process (binary-relation) ASTs."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Bottom(ProcExpr):
-    pass
+from .syntax import children, map_children, walk
 
 
 @dataclass(frozen=True)
@@ -70,44 +63,6 @@ class Action(ProcExpr):
             raise WellformednessError(
                 f"action {self.module}: inputs/outputs must partition the arguments"
             )
-
-
-@dataclass(frozen=True)
-class ModuleVar(ProcExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Union(ProcExpr):
-    additive = ("left", "right")
-    left: ProcExpr
-    right: ProcExpr
-
-
-@dataclass(frozen=True)
-class Complement(ProcExpr):
-    inner: ProcExpr
-
-
-@dataclass(frozen=True)
-class Project(ProcExpr):
-    additive = ("inner",)
-    keep: frozenset[str]
-    inner: ProcExpr
-
-
-@dataclass(frozen=True)
-class Select(ProcExpr):
-    additive = ("inner",)
-    left: Operand
-    right: Operand
-    inner: ProcExpr
-
-
-@dataclass(frozen=True)
-class Lfp(ProcExpr):
-    var: str
-    body: ProcExpr
 
 
 @dataclass(frozen=True)
@@ -195,14 +150,6 @@ class StateTest(ProcExpr):
 
     additive = ("phi",)
     phi: object  # lmumu.StateExpr; untyped to avoid a circular import
-
-
-def intersect(left: ProcExpr, right: ProcExpr) -> ProcExpr:
-    return Complement(Union(Complement(left), Complement(right)))
-
-
-def minus(left: ProcExpr, right: ProcExpr) -> ProcExpr:
-    return Complement(Union(Complement(left), right))
 
 
 def kleene_star(a: ProcExpr) -> ProcExpr:

@@ -1,6 +1,11 @@
 """The flat algebra: union, complement, projection, selection, and least
 fixed points over sets of structures.
 
+The operators are declared once, here, for the flat and the process sorts:
+each class the two sorts share derives from both FlatExpr and ProcExpr, and
+dynamic adds only the process-only nodes. The direction of information
+propagation lives on the atoms (dynamic.Action), not on the operators.
+
 Evaluation is explicit-state: extensions are subsets of a materializable
 universe, represented as bitmaps over its indices (see indexsets). The
 evaluation context and the least-fixed-point loop defined here serve the
@@ -37,8 +42,15 @@ class FlatExpr(Node):
     __slots__ = ()
 
 
+class ProcExpr(Node):
+    """Base class for process (binary-relation) ASTs. The classes below that
+    derive from both bases are the operators the two sorts share."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
-class Bottom(FlatExpr):
+class Bottom(FlatExpr, ProcExpr):
     pass
 
 
@@ -49,27 +61,27 @@ class Atom(FlatExpr):
 
 
 @dataclass(frozen=True)
-class ModuleVar(FlatExpr):
+class ModuleVar(FlatExpr, ProcExpr):
     name: str
 
 
 @dataclass(frozen=True)
-class Union(FlatExpr):
+class Union(FlatExpr, ProcExpr):
     additive = ("left", "right")
-    left: FlatExpr
-    right: FlatExpr
+    left: Node
+    right: Node
 
 
 @dataclass(frozen=True)
-class Complement(FlatExpr):
-    inner: FlatExpr
+class Complement(FlatExpr, ProcExpr):
+    inner: Node
 
 
 @dataclass(frozen=True)
-class Project(FlatExpr):
+class Project(FlatExpr, ProcExpr):
     additive = ("inner",)
     keep: frozenset[str]
-    inner: FlatExpr
+    inner: Node
 
 
 @dataclass(frozen=True)
@@ -107,26 +119,26 @@ Operand = TUnion[Var, Const]
 
 
 @dataclass(frozen=True)
-class Select(FlatExpr):
+class Select(FlatExpr, ProcExpr):
     additive = ("inner",)
     left: Operand
     right: Operand
-    inner: FlatExpr
+    inner: Node
 
 
 @dataclass(frozen=True)
-class Lfp(FlatExpr):
+class Lfp(FlatExpr, ProcExpr):
     var: str
-    body: FlatExpr
+    body: Node
 
 
-def intersect(left: FlatExpr, right: FlatExpr) -> FlatExpr:
-    """Parser sugar: a & b = -(-a | -b)."""
+def intersect(left: Node, right: Node) -> Node:
+    """Parser sugar, in both sorts: a & b = -(-a | -b)."""
     return Complement(Union(Complement(left), Complement(right)))
 
 
-def minus(left: FlatExpr, right: FlatExpr) -> FlatExpr:
-    """Parser sugar: a \\ b = -(-a | b)."""
+def minus(left: Node, right: Node) -> Node:
+    """Parser sugar, in both sorts: a \\ b = -(-a | b)."""
     return Complement(Union(Complement(left), right))
 
 
@@ -333,9 +345,9 @@ class EvalContext:
 @functools.lru_cache(maxsize=None)
 def _scoping() -> tuple[tuple[type, ...], tuple[type, ...]]:
     """The variable classes and the binder classes of the three sorts."""
-    from . import dynamic, lmumu
+    from . import lmumu
 
-    return (ModuleVar, dynamic.ModuleVar, lmumu.SetVar), (Lfp, dynamic.Lfp, lmumu.Lfp)
+    return (ModuleVar, lmumu.SetVar), (Lfp, lmumu.Lfp)
 
 
 def fixpoint_plan(node: Node) -> tuple[bool, list[Node]]:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import dynamic, flat, lmumu
 from .core import AtomicModule, Domain, RelationValue, Valuation, Vocabulary
 from .errors import SpecSyntaxError
+from .syntax import Node
 
 KEYWORDS = {
     "domain", "vocab", "module", "flat", "dyn", "state", "task",
@@ -154,31 +155,31 @@ class _Parser:
 
     # -- shared literals
 
+    def parse_items(self, item: Callable[[], object]) -> list:
+        """item (',' item)*"""
+        items = [item()]
+        while self.accept("OP", ","):
+            items.append(item())
+        return items
+
+    def parse_name(self) -> str:
+        return self.expect("NAME").value
+
     def parse_name_list(self) -> list[str]:
         self.expect("OP", "{")
-        names = []
-        if not self.check("OP", "}"):
-            names.append(self.expect("NAME").value)
-            while self.accept("OP", ","):
-                names.append(self.expect("NAME").value)
+        names = [] if self.check("OP", "}") else self.parse_items(self.parse_name)
         self.expect("OP", "}")
         return names
 
     def parse_tuple(self) -> tuple[str, ...]:
         self.expect("OP", "(")
-        items = [self.expect("NAME").value]
-        while self.accept("OP", ","):
-            items.append(self.expect("NAME").value)
+        items = self.parse_items(self.parse_name)
         self.expect("OP", ")")
         return tuple(items)
 
     def parse_relation_literal(self) -> flat.Const:
         self.expect("OP", "{")
-        tuples = []
-        if not self.check("OP", "}"):
-            tuples.append(self.parse_tuple())
-            while self.accept("OP", ","):
-                tuples.append(self.parse_tuple())
+        tuples = [] if self.check("OP", "}") else self.parse_items(self.parse_tuple)
         self.expect("OP", "}")
         return flat.Const.of(tuples)
 
@@ -208,27 +209,33 @@ class _Parser:
             left = flat.intersect(left, self.parse_flat_unary())
         return left
 
-    def parse_flat_unary(self) -> flat.FlatExpr:
+    def parse_shared_prefix(
+        self, unary: Callable[[], Node], body: Callable[[], Node]
+    ) -> Optional[Node]:
+        """The prefix operators of the flat and process sorts: -, pi, sel and
+        mu, in the sort whose `unary` parses an operand and whose `body`
+        parses a fixpoint body. None when none of them is next."""
         if self.accept("OP", "-"):
-            return flat.Complement(self.parse_flat_unary())
-        if self.check("NAME", "pi"):
-            self.advance()
+            return flat.Complement(unary())
+        if self.accept("NAME", "pi"):
             keep = frozenset(self.parse_name_list())
-            return flat.Project(keep, self.parse_flat_unary())
-        if self.check("NAME", "sel"):
-            self.advance()
+            return flat.Project(keep, unary())
+        if self.accept("NAME", "sel"):
             self.expect("OP", "[")
             left = self.parse_operand()
             self.expect("OP", "==")
             right = self.parse_operand()
             self.expect("OP", "]")
-            return flat.Select(left, right, self.parse_flat_unary())
-        if self.check("NAME", "mu"):
-            self.advance()
-            var = self.expect("NAME").value
+            return flat.Select(left, right, unary())
+        if self.accept("NAME", "mu"):
+            var = self.parse_name()
             self.expect("OP", ".")
-            return flat.Lfp(var, self.parse_flat())
-        return self.parse_flat_primary()
+            return flat.Lfp(var, body())
+        return None
+
+    def parse_flat_unary(self) -> flat.FlatExpr:
+        expr = self.parse_shared_prefix(self.parse_flat_unary, self.parse_flat)
+        return self.parse_flat_primary() if expr is None else expr
 
     def parse_flat_primary(self) -> flat.FlatExpr:
         if self.accept("OP", "("):
@@ -241,11 +248,8 @@ class _Parser:
         tok = self.expect("NAME")
         if tok.value in KEYWORDS:
             raise SpecSyntaxError(f"unexpected keyword {tok.value!r}", tok.line, tok.column)
-        if self.check("OP", "("):
-            self.advance()
-            args = [self.expect("NAME").value]
-            while self.accept("OP", ","):
-                args.append(self.expect("NAME").value)
+        if self.accept("OP", "("):
+            args = self.parse_items(self.parse_name)
             self.expect("OP", ")")
             return flat.Atom(tok.value, tuple(args))
         if tok.value in self.spec.flat_defs:
@@ -257,7 +261,7 @@ class _Parser:
     def parse_dyn(self) -> dynamic.ProcExpr:
         left = self.parse_dyn_seq()
         while self.accept("OP", "|"):
-            left = dynamic.Union(left, self.parse_dyn_seq())
+            left = flat.Union(left, self.parse_dyn_seq())
         return left
 
     def parse_dyn_seq(self) -> dynamic.ProcExpr:
@@ -267,7 +271,7 @@ class _Parser:
                 self.advance()
                 left = dynamic.Compose(left, self.parse_dyn_unary())
             elif self.accept("OP", "&"):
-                left = dynamic.intersect(left, self.parse_dyn_unary())
+                left = flat.intersect(left, self.parse_dyn_unary())
             else:
                 return left
 
@@ -279,30 +283,13 @@ class _Parser:
         return ahead
 
     def parse_dyn_unary(self) -> dynamic.ProcExpr:
-        if self.accept("OP", "-"):
-            return dynamic.Complement(self.parse_dyn_unary())
+        expr = self.parse_shared_prefix(self.parse_dyn_unary, self.parse_dyn)
+        if expr is not None:
+            return expr
         for keyword, ctor in (("dn", dynamic.Down), ("up", dynamic.Up),
                               ("neg", dynamic.UnaryNeg), ("rev", dynamic.Reverse)):
-            if self.check("NAME", keyword):
-                self.advance()
+            if self.accept("NAME", keyword):
                 return ctor(self.parse_dyn_unary())
-        if self.check("NAME", "pi"):
-            self.advance()
-            keep = frozenset(self.parse_name_list())
-            return dynamic.Project(keep, self.parse_dyn_unary())
-        if self.check("NAME", "sel"):
-            self.advance()
-            self.expect("OP", "[")
-            left = self.parse_operand()
-            self.expect("OP", "==")
-            right = self.parse_operand()
-            self.expect("OP", "]")
-            return dynamic.Select(left, right, self.parse_dyn_unary())
-        if self.check("NAME", "mu"):
-            self.advance()
-            var = self.expect("NAME").value
-            self.expect("OP", ".")
-            return dynamic.Lfp(var, self.parse_dyn())
         return self.parse_dyn_postfix()
 
     def parse_dyn_postfix(self) -> dynamic.ProcExpr:
@@ -334,9 +321,8 @@ class _Parser:
             inner = self.parse_dyn()
             self.expect("OP", ")")
             return inner
-        if self.check("NAME", "bot"):
-            self.advance()
-            return dynamic.Bottom()
+        if self.accept("NAME", "bot"):
+            return flat.Bottom()
         if self.check("NAME", "diag"):
             self.advance()
             return dynamic.Diagonal()
@@ -360,7 +346,7 @@ class _Parser:
             return self._parse_atom_tail(tok)
         if tok.value in self.spec.dyn_defs:
             return self.spec.dyn_defs[tok.value]
-        return dynamic.ModuleVar(tok.value)
+        return flat.ModuleVar(tok.value)
 
     def _parse_atom_tail(self, name: Token) -> dynamic.ProcExpr:
         self.expect("OP", "(")
@@ -386,9 +372,7 @@ class _Parser:
             argset = frozenset(args)
             return dynamic.Action(name.value, tuple(args), frozenset(inputs),
                                   argset - frozenset(inputs))
-        args = [self.expect("NAME").value]
-        while self.accept("OP", ","):
-            args.append(self.expect("NAME").value)
+        args = self.parse_items(self.parse_name)
         self.expect("OP", ")")
         self.expect("OP", "?")  # a plain atom in a process is a test
         return dynamic.Test(name.value, tuple(args))
@@ -450,9 +434,7 @@ class _Parser:
             self.advance()
             name = self.expect("NAME").value
             if self.accept("OP", "("):
-                args = [self.expect("NAME").value]
-                while self.accept("OP", ","):
-                    args.append(self.expect("NAME").value)
+                args = self.parse_items(self.parse_name)
                 self.expect("OP", ")")
                 return lmumu.Prop(name, tuple(args))
             if name in self.spec.modules:
@@ -491,9 +473,7 @@ class _Parser:
         if self.spec.vocabulary is not None:
             raise self.fail("duplicate vocab declaration")
         self.expect("OP", "{")
-        symbols = [self._parse_sym()]
-        while self.accept("OP", ","):
-            symbols.append(self._parse_sym())
+        symbols = self.parse_items(self._parse_sym)
         self.expect("OP", "}")
         self.spec.vocabulary = Vocabulary(tuple(symbols))
 
@@ -506,9 +486,7 @@ class _Parser:
     def _decl_module(self) -> None:
         name = self.expect("NAME").value
         self.expect("OP", "(")
-        vvoc = [self._parse_sym()]
-        while self.accept("OP", ","):
-            vvoc.append(self._parse_sym())
+        vvoc = self.parse_items(self._parse_sym)
         self.expect("OP", ")")
         self.expect("OP", "=")
         if self.accept("NAME", "builtin"):
@@ -539,9 +517,7 @@ class _Parser:
         patterns = []
         while self.check("OP", "("):
             self.advance()
-            bits = [self.expect("INT").value]
-            while self.accept("OP", ","):
-                bits.append(self.expect("INT").value)
+            bits = self.parse_items(lambda: self.expect("INT").value)
             self.expect("OP", ")")
             if len(bits) != width or any(b not in ("0", "1") for b in bits):
                 raise self.fail(f"truth pattern must be {width} bits of 0/1")

@@ -107,8 +107,8 @@ def _const_test(e: dynamic.ConstTest) -> str:
 
 # one emitter per operator shape, shared by the sorts that have the operator
 _EMITTERS = {
-    **dict.fromkeys((flat.Bottom, dynamic.Bottom), _primary(lambda e: "bot")),
-    **dict.fromkeys((flat.ModuleVar, dynamic.ModuleVar, lmumu.SetVar), _primary(lambda e: e.name)),
+    flat.Bottom: _primary(lambda e: "bot"),
+    **dict.fromkeys((flat.ModuleVar, lmumu.SetVar), _primary(lambda e: e.name)),
     flat.Atom: _primary(_atom),
     dynamic.Test: _primary(lambda e: _atom(e) + "?"),
     lmumu.Prop: _primary(lambda e: "prop " + _atom(e)),
@@ -116,23 +116,21 @@ _EMITTERS = {
     dynamic.Diagonal: _primary(lambda e: "diag"),
     dynamic.ConstTest: _primary(_const_test),
     dynamic.StateTest: _primary(lambda e: f"({to_text(e.phi)})?"),
-    **dict.fromkeys((flat.Union, dynamic.Union, lmumu.Or), _binary(" | ", _UNION)),
+    **dict.fromkeys((flat.Union, lmumu.Or), _binary(" | ", _UNION)),
     dynamic.Compose: _binary(" ; ", _SEQ),
     lmumu.And: _binary(" & ", _SEQ),
-    **dict.fromkeys((flat.Complement, dynamic.Complement), _prefix(lambda e: "-")),
+    flat.Complement: _prefix(lambda e: "-"),
     lmumu.Not: _prefix(lambda e: "!"),
     dynamic.Down: _prefix(lambda e: "dn "),
     dynamic.Up: _prefix(lambda e: "up "),
     dynamic.UnaryNeg: _prefix(lambda e: "neg "),
     dynamic.Reverse: _prefix(lambda e: "rev "),
-    **dict.fromkeys((flat.Project, dynamic.Project),
-                    _prefix(lambda e: f"pi{{{_names(e.keep)}}} ")),
-    **dict.fromkeys((flat.Select, dynamic.Select),
-                    _prefix(lambda e: f"sel[{_operand(e.left)} == {_operand(e.right)}] ")),
+    flat.Project: _prefix(lambda e: f"pi{{{_names(e.keep)}}} "),
+    flat.Select: _prefix(lambda e: f"sel[{_operand(e.left)} == {_operand(e.right)}] "),
     lmumu.Diamond: _prefix(lambda e: f"<{to_text(e.process)}> "),
     lmumu.Box: _prefix(lambda e: f"[{to_text(e.process)}] "),
     dynamic.Count: _postfix(lambda e: f"^{{{e.low},{e.high}}}"),
     dynamic.TestEq: _postfix(lambda e: "=?"),
     dynamic.TestNeq: _postfix(lambda e: "!=?"),
-    **dict.fromkeys((flat.Lfp, dynamic.Lfp, lmumu.Lfp), _mu),
+    **dict.fromkeys((flat.Lfp, lmumu.Lfp), _mu),
 }

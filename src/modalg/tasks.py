@@ -41,7 +41,7 @@ from .errors import (
     WellformednessError,
 )
 from .flat import Const, FlatExpr, Var, free_relational_vars, occurring_vars
-from .syntax import Node, children, walk
+from .syntax import Node, children, map_children, walk
 
 MX_RESULT_LIMIT = 1 << 20
 
@@ -627,12 +627,9 @@ def reach(
     """Is there an a-labelled edge from the state to a goal-satisfying state?
 
     The goal is a conjunction of constant tests on designated variables,
-    checked on the constructed transition system.
+    checked on a's edges: the transition system's label for a itself.
     """
-    from .printer import to_text
-
-    ts = dynamic.build_transition_system(a, valuation, universe)
-    edges = ts.edges[to_text(a)]
+    edges = dynamic.eval_dyn(a, valuation, universe)
     source = universe.index_of(structure)
     goal_states = values_index_set(
         universe, {valuation.symbol(var): value for var, value in goal.items()}
@@ -673,9 +670,11 @@ def dynamize(
     output_vars: frozenset[str],
     assignment: IoAssignment,
 ) -> dynamic.ProcExpr:
-    """Turn a flat formula into a process by designating information flow:
-    input variables flow in, output variables flow out, internal variables
-    per the assignment."""
+    """Turn a flat formula into a process by designating information flow
+    on its atoms: input variables flow in, output variables flow out,
+    internal variables per the assignment. Each atom becomes an action; the
+    operators above the atoms are shared by the two sorts and stay as they
+    are."""
     counter = itertools.count()
 
     def convert(node: FlatExpr) -> dynamic.ProcExpr:
@@ -695,19 +694,9 @@ def dynamize(
                         )
                     (ins if direction == "in" else outs).add(var)
             return dynamic.Action(node.module, node.args, frozenset(ins), frozenset(outs))
-        # same-named process class, fields in declaration order (atoms left to right)
-        return _PROCESS_OF[type(node)](
-            **{k: convert(v) if isinstance(v, Node) else v for k, v in vars(node).items()}
-        )
+        return map_children(node, convert)  # atoms numbered left to right
 
     return convert(e)
-
-
-_PROCESS_OF = {
-    cls: getattr(dynamic, cls.__name__)
-    for cls in (flat.Bottom, flat.ModuleVar, flat.Union, flat.Complement, flat.Project,
-                flat.Select, flat.Lfp)
-}
 
 
 @dataclass
@@ -741,9 +730,7 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def _const_modules(
-    outputs: Mapping[str, RelationValue], arities: Mapping[str, int]
-) -> dict[str, AtomicModule]:
+def _const_modules(outputs: Mapping[str, RelationValue]) -> dict[str, AtomicModule]:
     modules = {}
     for var, value in outputs.items():
         name = f"const_{var}"
@@ -780,7 +767,9 @@ def equivalence_check(
         )
     vocab = vocabulary or task_vocabulary(e, valuation, structure.vocabulary, outputs)
     universe = build_universe(structure.domain, vocab, cap)
-    arities = infer_arities(e, valuation)
+    # the arity check: raises ArityMismatch when e uses a variable at two
+    # arities, which a given vocabulary would otherwise leave to evaluation
+    infer_arities(e, valuation)
 
     interpretation: dict[str, RelationValue] = {
         s: structure.rel(s) for s in structure.vocabulary.names
@@ -791,7 +780,7 @@ def equivalence_check(
         interpretation.setdefault(name, RelationValue.of(arity))
     initial = Structure.make(structure.domain, vocab, interpretation)
 
-    goal_modules = _const_modules(outputs, arities)
+    goal_modules = _const_modules(outputs)
     val2 = valuation.with_modules(goal_modules)
     goal_formula: Optional[lmumu.StateExpr] = None
     for var in sorted(outputs):

@@ -12,6 +12,7 @@ from modalg import flat as F
 from modalg import lmumu as S
 from modalg.core import AtomicModule, Domain, Structure, Valuation, Vocabulary, build_universe
 from modalg.errors import (
+    ArityMismatch,
     CapExceeded,
     IncompleteStructure,
     NonSingletonEncoding,
@@ -22,7 +23,7 @@ from modalg.flat import eval_flat
 from modalg.dynamic import eval_dyn
 from modalg.lmumu import eval_state
 from modalg.printer import to_text
-from modalg.tasks import FOAtom, mc, mx, qe_encode
+from modalg.tasks import FOAtom, equivalence_check, mc, mx, qe_encode
 
 
 def test_unbound_module_var_flat(pq):
@@ -58,6 +59,21 @@ def test_unmapped_variable(pq):
     s = structure_pq(domain, vocab)
     with pytest.raises(UnmappedVariable):
         module_membership(val.module("Copy"), {"A": "P"}, s)  # B unmapped
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["inferred-vocabulary", "given-vocabulary"])
+def test_equivalence_check_rejects_variable_at_two_arities(given):
+    """A(P) | B(P) with A over X/1 and B over X/2 uses P at arities 1 and 2;
+    the check runs before evaluation also when the vocabulary is given."""
+    domain = Domain(("a", "b"))
+    vocab = Vocabulary((("P", 1),))
+    modules = {name: AtomicModule.builtin(name, [("X", arity)], fn=lambda d, rels: True)
+               for name, arity in (("A", 1), ("B", 2))}
+    val = Valuation(domain, {}, modules)
+    structure = Structure.make(domain, vocab, {"P": [("a",)]})
+    e = F.Union(F.Atom("A", ("P",)), F.Atom("B", ("P",)))
+    with pytest.raises(ArityMismatch, match="variable P used at arities 1 and 2"):
+        equivalence_check(e, {"P"}, structure, {}, val, vocab if given else None)
 
 
 def test_qe_rejects_variable_symbol_clash():

@@ -91,3 +91,23 @@ def test_one_pair_fallback_for_modalities():
     assert preimage_users == fallback
     lmumu = next(path for path in SOURCES if path.name == "lmumu.py")
     assert {("lmumu.py", f) for f in _functions_using(lmumu, "_eval_dyn")} == fallback
+
+
+SHARED_OPERATORS = ("Bottom", "ModuleVar", "Union", "Complement", "Project", "Select", "Lfp",
+                    "intersect", "minus")
+
+
+def test_each_operator_declared_once():
+    """The process calculus reuses the flat algebra's operators: dynamic
+    declares no class or function under a name flat declares, and re-exports
+    the shared ones."""
+    from modalg import dynamic, flat
+
+    def declared(module):
+        return {name for name, value in vars(module).items()
+                if callable(value) and getattr(value, "__module__", None) == module.__name__}
+
+    assert declared(dynamic) & declared(flat) == set()
+    for name in SHARED_OPERATORS:
+        assert getattr(dynamic, name) is getattr(flat, name), name
+        assert name in declared(flat), name

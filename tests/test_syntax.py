@@ -16,52 +16,53 @@ SP = S.Prop("M", ("P",))
 ACT = D.Action("M", ("P", "Q"), frozenset({"P"}), frozenset({"Q"}))
 A = Const.of([("a",)])
 
-# one instance of every concrete node class, with its expected subterms
+FLAT = ("flat", F.FlatExpr, parse_flat, F.Bottom())
+PROC = ("dynamic", D.ProcExpr, parse_dyn, D.Diagonal())
+STATE = ("lmumu", S.StateExpr, parse_state, S.SetVar("Y"))
+SORTS = [FLAT, PROC, STATE]
+
+# one instance of every concrete node class in each sort that has it (name,
+# base class, parser, stand-in subterm), with its expected subterms
 SAMPLES = [
-    (F.Bottom(), ()),
-    (FA, ()),
-    (F.ModuleVar("Z"), ()),
-    (F.Union(FA, F.Bottom()), (FA, F.Bottom())),
-    (F.Complement(FA), (FA,)),
-    (F.Project(frozenset({"P"}), FA), (FA,)),
-    (F.Select(Var("P"), A, FA), (FA,)),
-    (F.Lfp("Z", FA), (FA,)),
-    (D.Bottom(), ()),
-    (PT, ()),
-    (ACT, ()),
-    (D.ModuleVar("Z"), ()),
-    (D.Union(PT, ACT), (PT, ACT)),
-    (D.Complement(PT), (PT,)),
-    (D.Project(frozenset({"P"}), ACT), (ACT,)),
-    (D.Select(Var("P"), A, PT), (PT,)),
-    (D.Lfp("Z", PT), (PT,)),
-    (D.Down(ACT), (ACT,)),
-    (D.Up(ACT), (ACT,)),
-    (D.UnaryNeg(ACT), (ACT,)),
-    (D.Diagonal(), ()),
-    (D.Compose(ACT, PT), (ACT, PT)),
-    (D.Count(ACT, 1, 2), (ACT,)),
-    (D.Reverse(ACT), (ACT,)),
-    (D.TestEq(ACT), (ACT,)),
-    (D.TestNeq(ACT), (ACT,)),
-    (D.ConstTest("P", A, False), ()),
-    (D.StateTest(SP), (SP,)),
-    (SP, ()),
-    (S.SetVar("X"), ()),
-    (S.Or(SP, S.SetVar("X")), (SP, S.SetVar("X"))),
-    (S.Not(SP), (SP,)),
-    (S.And(SP, S.SetVar("X")), (SP, S.SetVar("X"))),
-    (S.Diamond(ACT, SP), (ACT, SP)),
-    (S.Box(ACT, SP), (ACT, SP)),
-    (S.Lfp("X", SP), (SP,)),
+    (FLAT, F.Bottom(), ()),
+    (FLAT, FA, ()),
+    (FLAT, F.ModuleVar("Z"), ()),
+    (FLAT, F.Union(FA, F.Bottom()), (FA, F.Bottom())),
+    (FLAT, F.Complement(FA), (FA,)),
+    (FLAT, F.Project(frozenset({"P"}), FA), (FA,)),
+    (FLAT, F.Select(Var("P"), A, FA), (FA,)),
+    (FLAT, F.Lfp("Z", FA), (FA,)),
+    (PROC, D.Bottom(), ()),
+    (PROC, PT, ()),
+    (PROC, ACT, ()),
+    (PROC, D.ModuleVar("Z"), ()),
+    (PROC, D.Union(PT, ACT), (PT, ACT)),
+    (PROC, D.Complement(PT), (PT,)),
+    (PROC, D.Project(frozenset({"P"}), ACT), (ACT,)),
+    (PROC, D.Select(Var("P"), A, PT), (PT,)),
+    (PROC, D.Lfp("Z", PT), (PT,)),
+    (PROC, D.Down(ACT), (ACT,)),
+    (PROC, D.Up(ACT), (ACT,)),
+    (PROC, D.UnaryNeg(ACT), (ACT,)),
+    (PROC, D.Diagonal(), ()),
+    (PROC, D.Compose(ACT, PT), (ACT, PT)),
+    (PROC, D.Count(ACT, 1, 2), (ACT,)),
+    (PROC, D.Reverse(ACT), (ACT,)),
+    (PROC, D.TestEq(ACT), (ACT,)),
+    (PROC, D.TestNeq(ACT), (ACT,)),
+    (PROC, D.ConstTest("P", A, False), ()),
+    (PROC, D.StateTest(SP), (SP,)),
+    (STATE, SP, ()),
+    (STATE, S.SetVar("X"), ()),
+    (STATE, S.Or(SP, S.SetVar("X")), (SP, S.SetVar("X"))),
+    (STATE, S.Not(SP), (SP,)),
+    (STATE, S.And(SP, S.SetVar("X")), (SP, S.SetVar("X"))),
+    (STATE, S.Diamond(ACT, SP), (ACT, SP)),
+    (STATE, S.Box(ACT, SP), (ACT, SP)),
+    (STATE, S.Lfp("X", SP), (SP,)),
 ]
 
-IDS = [f"{type(node).__module__.rsplit('.', 1)[-1]}.{type(node).__name__}"
-       for node, _ in SAMPLES]
-
-SORTS = [(F.FlatExpr, parse_flat, F.Bottom()),
-         (D.ProcExpr, parse_dyn, D.Diagonal()),
-         (S.StateExpr, parse_state, S.SetVar("Y"))]
+IDS = [f"{sort[0]}.{type(node).__name__}" for sort, node, _ in SAMPLES]
 
 
 def _concrete_subclasses(cls):
@@ -72,30 +73,34 @@ def _concrete_subclasses(cls):
     return out
 
 
-def _sort_of(node):
-    return next(sort for sort in SORTS if isinstance(node, sort[0]))
+def _stand_in(child, sort):
+    """A stand-in of the child's sort: the node's own sort where the child
+    belongs to it (a shared operator belongs to both), else the first that
+    fits."""
+    if not isinstance(child, sort[1]):
+        sort = next(s for s in SORTS if isinstance(child, s[1]))
+    return sort[3]
 
 
 def test_samples_cover_every_node_class():
-    expected = set().union(*(_concrete_subclasses(sort) for sort, _, _ in SORTS))
-    assert {type(node) for node, _ in SAMPLES} == expected
+    expected = set().union(*(_concrete_subclasses(sort[1]) for sort in SORTS))
+    assert {type(node) for _, node, _ in SAMPLES} == expected
 
 
-@pytest.mark.parametrize("node, kids", SAMPLES, ids=IDS)
-def test_traversal_sees_every_subterm(node, kids):
+@pytest.mark.parametrize("sort, node, kids", SAMPLES, ids=IDS)
+def test_traversal_sees_every_subterm(sort, node, kids):
     assert children(node) == kids
     assert map_children(node, lambda child: child) == node
-    stand_ins = tuple(_sort_of(child)[2] for child in kids)
-    replaced = map_children(node, lambda child: _sort_of(child)[2])
+    stand_ins = tuple(_stand_in(child, sort) for child in kids)
+    replaced = map_children(node, lambda child: _stand_in(child, sort))
     assert children(replaced) == stand_ins
     assert type(replaced) is type(node)
     assert list(walk(node))[-1] is node
 
 
-@pytest.mark.parametrize("node, kids", SAMPLES, ids=IDS)
-def test_print_parse_round_trip(node, kids):
-    _, parse, _ = _sort_of(node)
-    assert parse(to_text(node)) == node
+@pytest.mark.parametrize("sort, node, kids", SAMPLES, ids=IDS)
+def test_print_parse_round_trip(sort, node, kids):
+    assert sort[2](to_text(node)) == node
 
 
 def test_walk_is_postorder_and_stops_at_other_sorts():

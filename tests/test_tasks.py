@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import rel, structure_pq
-from _gen import PROP_FULLP, SETP, random_flat, three_element_setup
+from _gen import PROP_FULLP, SETP, random_any_proc, random_flat, three_element_setup
 from modalg import dynamic as D
 from modalg import flat as F
 from modalg import lmumu as S
@@ -20,8 +20,14 @@ from modalg.core import (
     Vocabulary,
     propositional_module,
 )
-from modalg.errors import CapExceeded, NonPropositionalFormula, WellformednessError
+from modalg.errors import (
+    CapExceeded,
+    ModalgError,
+    NonPropositionalFormula,
+    WellformednessError,
+)
 from modalg.flat import Const, Var
+from modalg.printer import to_text
 from modalg.syntax import walk
 from modalg.tasks import (
     FOAtom,
@@ -360,6 +366,32 @@ class TestReach:
         other = u.index_of(structure_pq(*pq[:2], p=(), q=("a",)))
         assert reach(SETP, u.structure_at(start), goal, val, u)
         assert not reach(SETP, u.structure_at(other), goal, val, u)
+
+    def test_agrees_with_transition_system_label(self, pq):
+        """reach reads a's own edges: the transition system's label for a."""
+        _, _, u, val = pq
+        rng = random.Random(41)
+        goals = [{"P": rel(1, ("a",))}, {"Q": rel(1)},
+                 {"P": rel(1, ("a",), ("b",)), "Q": rel(1, ("b",))}]
+        checked = raised = 0
+        for k in range(60):
+            a = random_any_proc(rng, 3)
+            if k % 3 == 0:
+                a = D.kleene_star(a)
+            try:
+                edges = D.build_transition_system(a, val, u).edges[to_text(a)]
+            except ModalgError:  # e.g. an illegal selection: no label to compare with
+                raised += 1
+                continue
+            for goal in goals:
+                targets = [j for j in range(16)
+                           if all(u.structure_at(j).rel(var) == value
+                                  for var, value in goal.items())]
+                for i in rng.sample(range(16), 4):
+                    expected = any(edges.contains(i, j) for j in targets)
+                    assert reach(a, u.structure_at(i), goal, val, u) == expected
+                    checked += 1
+        assert checked >= 400 and raised < 20
 
 
 class TestEquivalence:
