@@ -5,7 +5,8 @@ The operators this sort shares with the flat algebra (bot, module
 variables, union, complement, projection, selection, mu, and the sugar
 intersect/minus) are flat's classes, re-exported here; the direction of
 information propagation is on the atoms alone (Action's inputs and
-outputs). This module declares only the process-only nodes.
+outputs). This module declares only the process-only nodes. A state test
+evaluates its formula with flat._eval, the one evaluator of state sets.
 
 Edge sets are possibly-complemented pair sets (see indexsets), so complement
 costs nothing and the intersection sugar -(-a | -b) stays sparse. eval_dyn
@@ -26,7 +27,8 @@ from .core import RelationValue, Universe, Valuation, values_index_set
 from .errors import IllegalSelect, UnboundModuleVar, WellformednessError
 # the operators shared with the flat algebra, re-exported
 from .flat import Bottom, Complement, Lfp, ModuleVar, Project, Select, Union, intersect, minus
-from .flat import Const, EvalContext, EvalStats, ProcExpr, Var, _evaluator, _select_filter
+from .flat import Const, EvalContext, EvalStats, ProcExpr, StateExpr, Var
+from .flat import _eval, _evaluator, _select_filter
 from .indexsets import (
     IndexSet,
     PairSet,
@@ -149,7 +151,8 @@ class StateTest(ProcExpr):
     """phi? for a two-sorted state formula."""
 
     additive = ("phi",)
-    phi: object  # lmumu.StateExpr; untyped to avoid a circular import
+    crossing = ("phi",)
+    phi: StateExpr
 
 
 def kleene_star(a: ProcExpr) -> ProcExpr:
@@ -165,13 +168,11 @@ def kleene_star(a: ProcExpr) -> ProcExpr:
 
 def module_vars_of(a: ProcExpr) -> frozenset[str]:
     """Module and set variables used or bound anywhere in a, state tests included."""
-    from .lmumu import Lfp as StateLfp, SetVar
-
     out: set[str] = set()
     for node in walk(a):
-        if isinstance(node, (ModuleVar, SetVar)):
+        if isinstance(node, ModuleVar):
             out.add(node.name)
-        elif isinstance(node, (Lfp, StateLfp)):
+        elif isinstance(node, Lfp):
             out.add(node.var)
     return frozenset(out)
 
@@ -386,9 +387,7 @@ def diagonal_states(a: ProcExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
         sym = val.symbol(a.var)
         states = values_index_set(u, {sym: a.value.value(u.vocabulary.arity(sym))})
         return states if a.equal else states.complement()
-    from .lmumu import _eval_state
-
-    return _eval_state(a.phi, ctx, val)
+    return _eval(a.phi, ctx, val)
 
 
 def select_side(a: Select) -> Optional[int]:
@@ -451,14 +450,15 @@ def build_transition_system(
     Subformulas under a fixed point are labelled with their converged
     extension (the final iteration's value). Labels are canonical prints,
     listed in post-order without repeats; state tests are labelled but not
-    entered.
+    entered. The as-written operand of a reverse is labelled when it has an
+    extension: not when it is open or a selection legal only reversed.
     """
     record: dict[str, PairSet] = {}
     ctx = EvalContext(universe, stats, record)
     _eval_dyn(a, ctx, valuation)
     edges: dict[str, EdgeSet] = {}
     seen: set[str] = set()
-    for node in walk(a, ProcExpr):
+    for node in walk(a, within_sort=True):
         key = ctx.label(node)
         if key in seen:
             continue
@@ -467,7 +467,7 @@ def build_transition_system(
             # e.g. the as-written operand of a reverse; evaluate it directly
             try:
                 record[key] = _eval_dyn_inner(node, ctx, valuation)
-            except UnboundModuleVar:
-                continue  # open subterm of a reversed fixed point; unlabelable
+            except (UnboundModuleVar, IllegalSelect):
+                continue  # an open subterm, or a selection legal only reversed
         edges[key] = EdgeSet(universe, record[key])
     return TransitionSystem(universe, edges, tuple(edges))

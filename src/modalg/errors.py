@@ -31,8 +31,7 @@ class UnboundModuleVar(ModalgError):
     pass
 
 
-class UnboundSetVar(ModalgError):
-    pass
+UnboundSetVar = UnboundModuleVar  # a set variable is a module variable
 
 
 class UnmappedVariable(ModalgError):

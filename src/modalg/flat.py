@@ -1,20 +1,19 @@
 """The flat algebra: union, complement, projection, selection, and least
 fixed points over sets of structures.
 
-The operators are declared once, here, for the flat and the process sorts:
-each class the two sorts share derives from both FlatExpr and ProcExpr, and
-dynamic adds only the process-only nodes. The direction of information
+The operators are declared once, here, for the flat, process and state
+sorts: each class derives from the base of every sort that has it, and
+dynamic and lmumu add only their own nodes. The direction of information
 propagation lives on the atoms (dynamic.Action), not on the operators.
 
 Evaluation is explicit-state: extensions are subsets of a materializable
-universe, represented as bitmaps over its indices (see indexsets). The
-evaluation context and the least-fixed-point loop defined here serve the
-flat, process and state sorts alike.
+universe, represented as bitmaps over its indices (see indexsets). _eval
+evaluates flat expressions and state formulas alike; the evaluation context
+and the least-fixed-point loop defined here serve all three sorts.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union as TUnion
 
@@ -43,14 +42,20 @@ class FlatExpr(Node):
 
 
 class ProcExpr(Node):
-    """Base class for process (binary-relation) ASTs. The classes below that
-    derive from both bases are the operators the two sorts share."""
+    """Base class for process (binary-relation) ASTs."""
+
+    __slots__ = ()
+
+
+class StateExpr(Node):
+    """Base class for state-formula ASTs. The classes below that derive from
+    several bases are the operators the sorts share."""
 
     __slots__ = ()
 
 
 @dataclass(frozen=True)
-class Bottom(FlatExpr, ProcExpr):
+class Bottom(FlatExpr, ProcExpr, StateExpr):
     pass
 
 
@@ -61,12 +66,12 @@ class Atom(FlatExpr):
 
 
 @dataclass(frozen=True)
-class ModuleVar(FlatExpr, ProcExpr):
+class ModuleVar(FlatExpr, ProcExpr, StateExpr):
     name: str
 
 
 @dataclass(frozen=True)
-class Union(FlatExpr, ProcExpr):
+class Union(FlatExpr, ProcExpr, StateExpr):
     additive = ("left", "right")
     left: Node
     right: Node
@@ -127,7 +132,7 @@ class Select(FlatExpr, ProcExpr):
 
 
 @dataclass(frozen=True)
-class Lfp(FlatExpr, ProcExpr):
+class Lfp(FlatExpr, ProcExpr, StateExpr):
     var: str
     body: Node
 
@@ -342,14 +347,6 @@ class EvalContext:
         return acc
 
 
-@functools.lru_cache(maxsize=None)
-def _scoping() -> tuple[tuple[type, ...], tuple[type, ...]]:
-    """The variable classes and the binder classes of the three sorts."""
-    from . import lmumu
-
-    return (ModuleVar, lmumu.SetVar), (Lfp, lmumu.Lfp)
-
-
 def fixpoint_plan(node: Node) -> tuple[bool, list[Node]]:
     """(whether node.body is linear in node.var, the body's closed
     subterms).
@@ -357,22 +354,21 @@ def fixpoint_plan(node: Node) -> tuple[bool, list[Node]]:
     Linear: the variable occurs free exactly once, and every operator on
     the way down to it distributes over union in that subterm (its class's
     `additive` fields). Such a body is f(X) = f({}) | g(X) with g additive,
-    so f(A | D) = f(A) | f(D). Closed: no free module or set variable, so
-    the value is the same in every round.
+    so f(A | D) = f(A) | f(D). Closed: no free module variable, so the
+    value is the same in every round.
     """
-    refs, binders = _scoping()
     free: dict[int, set[str]] = {}
     closed: list[Node] = []
 
     def scan(sub: Node) -> set[str]:
-        if isinstance(sub, refs):
+        if isinstance(sub, ModuleVar):
             names = {sub.name}
         else:
             names = set()
             subs = children(sub)
             for c in subs:
                 names |= scan(c)
-            if isinstance(sub, binders):
+            if isinstance(sub, Lfp):
                 names.discard(sub.var)
         if not names:
             closed.append(sub)
@@ -381,7 +377,7 @@ def fixpoint_plan(node: Node) -> tuple[bool, list[Node]]:
 
     scan(node.body)
     sub = node.body
-    while node.var in free[id(sub)] and not isinstance(sub, refs):
+    while node.var in free[id(sub)] and not isinstance(sub, ModuleVar):
         holding = [c for c in children(sub) if node.var in free[id(c)]]
         if len(holding) != 1 or not any(getattr(sub, f) is holding[0] for f in sub.additive):
             return False, closed
@@ -523,7 +519,7 @@ def eval_flat(
 
 
 @_evaluator
-def _eval(e: FlatExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
+def _eval(e: TUnion[FlatExpr, StateExpr], ctx: EvalContext, val: Valuation) -> IndexSet:
     u = ctx.universe
     if isinstance(e, Bottom):
         return IndexSet(u.size)
@@ -547,7 +543,21 @@ def _eval(e: FlatExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
         return inner.intersection(_select_filter(e.left, e.right, val, u))
     if isinstance(e, Lfp):
         return ctx.fixpoint(e, val, _eval, StructureSet)
-    raise TypeError(f"not a flat expression: {e!r}")
+    # the state-only nodes; lmumu imports this module
+    from . import lmumu
+
+    if isinstance(e, lmumu.Prop):
+        return ctx.extension(e, val)
+    if isinstance(e, lmumu.And):
+        return _eval(e.left, ctx, val).intersection(_eval(e.right, ctx, val))
+    if isinstance(e, lmumu.Not):
+        return _eval(e.inner, ctx, val).complement()
+    if isinstance(e, lmumu.Diamond):
+        return lmumu.pre(e.process, ctx, val, _eval(e.inner, ctx, val))
+    if isinstance(e, lmumu.Box):
+        bad = _eval(e.inner, ctx, val).complement()
+        return lmumu.pre(e.process, ctx, val, bad).complement()
+    raise TypeError(f"not a flat or state expression: {e!r}")
 
 
 def lfp_iterate(

@@ -2,6 +2,10 @@
 the translation into the minimal one-sorted syntax, and the existential-rule
 embedding with a bounded chase.
 
+State formulas are the lifted algebra read on states: bot, set variables
+(SetVar), or (Or) and mu (Lfp) are flat's classes, flat._eval evaluates
+them, and this module declares only the state-only nodes.
+
 <a> phi and [a] phi are evaluated by preimage, `pre(a, X)`, which follows
 actions, tests, union, composition, counting, dn/neg, input or output
 selections and reverse down to state sets and builds no pairs; pair-level
@@ -19,35 +23,18 @@ from typing import Mapping, Optional, Union as TUnion
 
 from . import dynamic
 from .core import Structure, StructureSet, Universe, Valuation
-from .dynamic import ProcExpr
-from .errors import UnboundSetVar, UnsafeRule
-from .flat import EvalContext, EvalStats, _evaluator, _named, _select_filter
+from .errors import UnsafeRule
+# the operators shared with the flat algebra, re-exported under their state names
+from .flat import Bottom, Lfp, ModuleVar as SetVar, Union as Or
+from .flat import EvalContext, EvalStats, ProcExpr, StateExpr, _eval, _named, _select_filter
 from .indexsets import IndexSet, preimage
-from .syntax import Node, map_children, walk
-
-
-class StateExpr(Node):
-    """Base class for state-formula ASTs."""
-
-    __slots__ = ()
+from .syntax import map_children, walk
 
 
 @dataclass(frozen=True)
 class Prop(StateExpr):
     module: str
     args: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SetVar(StateExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Or(StateExpr):
-    additive = ("left", "right")
-    left: StateExpr
-    right: StateExpr
 
 
 @dataclass(frozen=True)
@@ -65,6 +52,7 @@ class And(StateExpr):
 @dataclass(frozen=True)
 class Diamond(StateExpr):
     additive = ("process", "inner")
+    crossing = ("process",)
     process: ProcExpr
     inner: StateExpr
 
@@ -73,20 +61,19 @@ class Diamond(StateExpr):
 class Box(StateExpr):
     """[a] phi = !<a>!phi."""
 
+    crossing = ("process",)
     process: ProcExpr
     inner: StateExpr
 
 
-@dataclass(frozen=True)
-class Lfp(StateExpr):
-    var: str
-    body: StateExpr
+# the tautology: built from no module, it is defined in every vocabulary
+TOP = Not(Bottom())
 
 
 def state_vars(phi: StateExpr) -> frozenset[str]:
     """Relational variables mentioned anywhere in the formula."""
     out: set[str] = set()
-    for node in walk(phi, StateExpr):
+    for node in walk(phi, within_sort=True):
         if isinstance(node, Prop):
             out.update(node.args)
         elif isinstance(node, (Diamond, Box)):
@@ -105,32 +92,7 @@ def eval_state(
     stats: Optional[EvalStats] = None,
 ) -> StructureSet:
     """The set of states satisfying the formula."""
-    return StructureSet(universe, _eval_state(phi, EvalContext(universe, stats), valuation))
-
-
-@_evaluator
-def _eval_state(phi: StateExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
-    if isinstance(phi, Prop):
-        return ctx.extension(phi, val)
-    if isinstance(phi, SetVar):
-        value = val.env.get(phi.name)
-        if not isinstance(value, StructureSet):
-            raise UnboundSetVar(f"set variable {phi.name} is not bound to a structure set")
-        return value.iset
-    if isinstance(phi, Or):
-        return _eval_state(phi.left, ctx, val).union(_eval_state(phi.right, ctx, val))
-    if isinstance(phi, And):
-        return _eval_state(phi.left, ctx, val).intersection(_eval_state(phi.right, ctx, val))
-    if isinstance(phi, Not):
-        return _eval_state(phi.inner, ctx, val).complement()
-    if isinstance(phi, Diamond):
-        return pre(phi.process, ctx, val, _eval_state(phi.inner, ctx, val))
-    if isinstance(phi, Box):
-        bad = _eval_state(phi.inner, ctx, val).complement()
-        return pre(phi.process, ctx, val, bad).complement()
-    if isinstance(phi, Lfp):
-        return ctx.fixpoint(phi, val, _eval_state, StructureSet)
-    raise TypeError(f"not a state expression: {phi!r}")
+    return StructureSet(universe, _eval(phi, EvalContext(universe, stats), valuation))
 
 
 @_named
@@ -198,8 +160,8 @@ def translate_two_sorted(phi: StateExpr) -> ProcExpr:
     """
     if isinstance(phi, Prop):
         return dynamic.Test(phi.module, phi.args)
-    if isinstance(phi, SetVar):
-        return dynamic.ModuleVar(phi.name)
+    if isinstance(phi, (Bottom, SetVar)):
+        return phi
     if isinstance(phi, Or):
         return dynamic.Union(translate_two_sorted(phi.left), translate_two_sorted(phi.right))
     if isinstance(phi, And):
@@ -236,16 +198,6 @@ def translate_process(a: ProcExpr) -> ProcExpr:
     return map_children(a, translate_process)
 
 
-def tautology(valuation: Valuation) -> StateExpr:
-    """M or !M over the first declared module (a designated fixed tautology)."""
-    for name in valuation.modules:
-        module = valuation.modules[name]
-        args = tuple(var for var, _ in module.vvoc)
-        prop = Prop(name, args)
-        return Or(prop, Not(prop))
-    raise UnsafeRule("no modules available to build a tautology")
-
-
 def eval_equality_test(
     a1: ProcExpr,
     a2: ProcExpr,
@@ -259,7 +211,7 @@ def eval_equality_test(
     two processes.
     """
     both = dynamic.intersect(a1, a2)
-    return eval_state(Diamond(both, tautology(valuation)), valuation, universe, stats)
+    return eval_state(Diamond(both, TOP), valuation, universe, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ class SpecFile:
     modules: dict[str, AtomicModule] = field(default_factory=dict)
     flat_defs: dict[str, flat.FlatExpr] = field(default_factory=dict)
     dyn_defs: dict[str, dynamic.ProcExpr] = field(default_factory=dict)
-    state_defs: dict[str, lmumu.StateExpr] = field(default_factory=dict)
+    state_defs: dict[str, flat.StateExpr] = field(default_factory=dict)
     tasks: dict[str, TaskDirective] = field(default_factory=dict)
 
     def valuation(self) -> Valuation:
@@ -393,19 +393,19 @@ class _Parser:
 
     # -- state expressions
 
-    def parse_state(self) -> lmumu.StateExpr:
+    def parse_state(self) -> flat.StateExpr:
         left = self.parse_state_and()
         while self.accept("OP", "|"):
-            left = lmumu.Or(left, self.parse_state_and())
+            left = flat.Union(left, self.parse_state_and())
         return left
 
-    def parse_state_and(self) -> lmumu.StateExpr:
+    def parse_state_and(self) -> flat.StateExpr:
         left = self.parse_state_unary()
         while self.accept("OP", "&"):
             left = lmumu.And(left, self.parse_state_unary())
         return left
 
-    def parse_state_unary(self) -> lmumu.StateExpr:
+    def parse_state_unary(self) -> flat.StateExpr:
         if self.accept("OP", "!"):
             return lmumu.Not(self.parse_state_unary())
         if self.check("OP", "<"):
@@ -422,14 +422,16 @@ class _Parser:
             self.advance()
             var = self.expect("NAME").value
             self.expect("OP", ".")
-            return lmumu.Lfp(var, self.parse_state())
+            return flat.Lfp(var, self.parse_state())
         return self.parse_state_primary()
 
-    def parse_state_primary(self) -> lmumu.StateExpr:
+    def parse_state_primary(self) -> flat.StateExpr:
         if self.accept("OP", "("):
             inner = self.parse_state()
             self.expect("OP", ")")
             return inner
+        if self.accept("NAME", "bot"):
+            return flat.Bottom()
         if self.check("NAME", "prop"):
             self.advance()
             name = self.expect("NAME").value
@@ -446,7 +448,7 @@ class _Parser:
             raise SpecSyntaxError(f"unexpected keyword {tok.value!r}", tok.line, tok.column)
         if tok.value in self.spec.state_defs:
             return self.spec.state_defs[tok.value]
-        return lmumu.SetVar(tok.value)
+        return flat.ModuleVar(tok.value)
 
     # -- declarations
 
@@ -612,7 +614,7 @@ def parse_dyn(text: str, spec: Optional[SpecFile] = None) -> dynamic.ProcExpr:
     return expr
 
 
-def parse_state(text: str, spec: Optional[SpecFile] = None) -> lmumu.StateExpr:
+def parse_state(text: str, spec: Optional[SpecFile] = None) -> flat.StateExpr:
     parser = _Parser(tokenize(text), spec)
     expr = parser.parse_state()
     parser.expect("EOF")

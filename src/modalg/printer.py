@@ -108,7 +108,7 @@ def _const_test(e: dynamic.ConstTest) -> str:
 # one emitter per operator shape, shared by the sorts that have the operator
 _EMITTERS = {
     flat.Bottom: _primary(lambda e: "bot"),
-    **dict.fromkeys((flat.ModuleVar, lmumu.SetVar), _primary(lambda e: e.name)),
+    flat.ModuleVar: _primary(lambda e: e.name),
     flat.Atom: _primary(_atom),
     dynamic.Test: _primary(lambda e: _atom(e) + "?"),
     lmumu.Prop: _primary(lambda e: "prop " + _atom(e)),
@@ -116,7 +116,7 @@ _EMITTERS = {
     dynamic.Diagonal: _primary(lambda e: "diag"),
     dynamic.ConstTest: _primary(_const_test),
     dynamic.StateTest: _primary(lambda e: f"({to_text(e.phi)})?"),
-    **dict.fromkeys((flat.Union, lmumu.Or), _binary(" | ", _UNION)),
+    flat.Union: _binary(" | ", _UNION),
     dynamic.Compose: _binary(" ; ", _SEQ),
     lmumu.And: _binary(" & ", _SEQ),
     flat.Complement: _prefix(lambda e: "-"),
@@ -132,5 +132,5 @@ _EMITTERS = {
     dynamic.Count: _postfix(lambda e: f"^{{{e.low},{e.high}}}"),
     dynamic.TestEq: _postfix(lambda e: "=?"),
     dynamic.TestNeq: _postfix(lambda e: "!=?"),
-    **dict.fromkeys((flat.Lfp, lmumu.Lfp), _mu),
+    flat.Lfp: _mu,
 }

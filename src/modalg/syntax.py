@@ -19,10 +19,14 @@ class Node:
     `additive` names the subterm fields in which the operator distributes
     over union, op(.., A | B, ..) = op(.., A, ..) | op(.., B, ..); the
     fixpoint loop reads it to decide when a body may be iterated on deltas.
+    `crossing` names the subterm fields that hold a term of another sort (a
+    state formula in a process, a process in a state formula); walk stops
+    there when asked to stay within one sort.
     """
 
     __slots__ = ()
     additive: tuple[str, ...] = ()
+    crossing: tuple[str, ...] = ()
 
 
 def _subterm_fields(node: Node) -> tuple[str, ...]:
@@ -49,11 +53,11 @@ def map_children(node: Node, fn: Callable[[Node], Node]) -> Node:
     return replace(node, **{name: fn(getattr(node, name)) for name in names})
 
 
-def walk(node: Node, sort: type = Node) -> list[Node]:
+def walk(node: Node, within_sort: bool = False) -> list[Node]:
     """node and its subterms, post-order and left to right.
 
-    Only subterms that are instances of `sort` are visited; the walk does
-    not descend below a subterm of another sort.
+    Within a sort, the walk does not descend into a field that crosses
+    sorts (the class's `crossing`).
     """
     # pre-order with the right subterm first, reversed, is left-to-right post-order
     out: list[Node] = []
@@ -62,8 +66,7 @@ def walk(node: Node, sort: type = Node) -> list[Node]:
         current = stack.pop()
         out.append(current)
         for name in _subterm_fields(current):
-            child = getattr(current, name)
-            if isinstance(child, sort):
-                stack.append(child)
+            if not (within_sort and name in current.crossing):
+                stack.append(getattr(current, name))
     out.reverse()
     return out

@@ -787,7 +787,7 @@ def equivalence_check(
         prop = lmumu.Prop(f"const_{var}", (var,))
         goal_formula = prop if goal_formula is None else lmumu.And(goal_formula, prop)
     if goal_formula is None:
-        goal_formula = lmumu.tautology(val2)
+        goal_formula = lmumu.TOP
 
     ev_witness = ev(e, sigma, structure, dict(outputs), valuation, vocab)
     ev_ok = ev_witness is not None

@@ -7,8 +7,9 @@ import random
 import pytest
 
 from conftest import rel
-from _gen import SETP, SETQ_COPY, random_proc
+from _gen import PROP_FULLP, SETP, SETQ_COPY, random_proc
 from modalg import dynamic as D
+from modalg import lmumu as S
 from modalg.core import (
     AtomicModule,
     Domain,
@@ -517,3 +518,29 @@ class TestTransitionSystem:
         built.update(inertia=0, diagonal=0)
         build_transition_system(star, val, u)
         assert built == {"inertia": 2, "diagonal": 1}
+
+    def test_operand_legal_only_reversed_is_unlabelled(self, pq):
+        # sel[Q == P] is a feedback selection of the reversed copy only; as
+        # written it is illegal, so it and neg of it get no label
+        _, _, u, val = pq
+        sel = D.Select(Var("Q"), Var("P"), SETQ_COPY)
+        a = D.Reverse(D.UnaryNeg(sel))
+        with pytest.raises(IllegalSelect):
+            eval_dyn(sel, val, u)
+        ts = build_transition_system(a, val, u)
+        assert list(ts.order) == [to_text(SETQ_COPY), to_text(a)]
+        assert ts.edges[to_text(a)] == eval_dyn(a, val, u)
+
+    @pytest.mark.parametrize("phi", [
+        S.Or(PROP_FULLP, S.SetVar("X")),
+        S.Lfp("X", S.Or(PROP_FULLP, S.Diamond(SETP, S.SetVar("X")))),
+    ], ids=["or", "mu"])
+    def test_state_test_formula_not_labelled(self, pq, phi):
+        # the state formula's or and mu are the process sort's classes too;
+        # the walk still stops at the state test
+        _, _, u, val = pq
+        val = val.bind("X", S.eval_state(S.Prop("EmptyQ", ("Q",)), val, u))
+        a = D.Compose(SETP, D.StateTest(phi))
+        ts = build_transition_system(a, val, u)
+        assert list(ts.order) == [to_text(SETP), to_text(a.right), to_text(a)]
+        assert ts.edges[to_text(a)] == eval_dyn(a, val, u)

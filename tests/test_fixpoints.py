@@ -102,8 +102,7 @@ SORTS = {
     "dyn": (D.Lfp, D.ModuleVar, _dyn_path, _dyn_nonlinear, eval_dyn,
             lambda body, val, u: _naive_edges(body, "Y", val, u), (D, "_eval_dyn")),
     "state": (S.Lfp, S.SetVar, _state_path, _state_nonlinear, eval_state,
-              lambda body, val, u: _naive_states(eval_state, body, "Y", val, u),
-              (S, "_eval_state")),
+              lambda body, val, u: _naive_states(eval_state, body, "Y", val, u), (F, "_eval")),
 }
 
 

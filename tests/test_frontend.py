@@ -1,6 +1,8 @@
 """Surface syntax, printer round-trips, CLI behaviour, exports."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +12,10 @@ from modalg import flat as F
 from modalg import lmumu as S
 from modalg.cli import main
 from modalg.core import Domain, Vocabulary, build_universe
-from modalg.dynamic import build_transition_system
+from modalg.dynamic import build_transition_system, eval_dyn
 from modalg.export import render_dot, ts_to_json
 from modalg.errors import SpecSyntaxError
+from modalg.lmumu import eval_state
 from modalg.parser import parse_dyn, parse_flat, parse_spec, parse_state
 from modalg.printer import to_text
 
@@ -172,6 +175,42 @@ class TestCli:
         assert main(["stats", demo_spec, "-e", "setp"]) == 0
         out = capsys.readouterr().out
         assert "universe size: 16" in out and "FullP(out P): 16" in out
+
+
+class TestReadmeCommands:
+    """The README's commands over the shipped demo.mod print the library's
+    answers."""
+
+    @pytest.fixture
+    def demo(self):
+        path = Path(__file__).resolve().parents[1] / "demo.mod"
+        spec = parse_spec(path.read_text(encoding="utf-8"))
+        return str(path), spec, build_universe(spec.domain, spec.vocabulary), spec.valuation()
+
+    def test_eval_dyn_walk(self, demo, capsys):
+        path, spec, u, val = demo
+        assert main(["eval-dyn", path, "-e", "walk"]) == 0
+        pairs = sorted(eval_dyn(spec.dyn_defs["walk"], val, u).pairs())
+        assert len(pairs) > u.size
+        assert capsys.readouterr().out.splitlines() == [f"{i} -> {j}" for i, j in pairs]
+
+    def test_eval_state_sometime(self, demo, capsys):
+        path, spec, u, val = demo
+        assert main(["eval-state", path, "-e", "sometime"]) == 0
+        states = list(eval_state(spec.state_defs["sometime"], val, u).indices())
+        assert states
+        assert capsys.readouterr().out.splitlines() == [
+            f"{i}\t{u.structure_at(i).describe()}" for i in states]
+
+    def test_export_dot_setp_json(self, demo, tmp_path, capsys):
+        path, spec, u, val = demo
+        dot, data = tmp_path / "ts.dot", tmp_path / "ts.json"
+        assert main(["export-dot", path, "-e", "setp", "-o", str(dot), "--json", str(data)]) == 0
+        assert capsys.readouterr().out == ""
+        ts = build_transition_system(spec.dyn_defs["setp"], val, u)
+        assert dot.read_text(encoding="utf-8") == render_dot(ts)
+        expected = json.loads(json.dumps(ts_to_json(ts)))
+        assert json.loads(data.read_text(encoding="utf-8")) == expected
 
 
 class TestGraphPipelineSpec:

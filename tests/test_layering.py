@@ -95,19 +95,56 @@ def test_one_pair_fallback_for_modalities():
 
 SHARED_OPERATORS = ("Bottom", "ModuleVar", "Union", "Complement", "Project", "Select", "Lfp",
                     "intersect", "minus")
+# the state names of the operators the state logic shares with the other sorts
+STATE_OPERATORS = {"Bottom": "Bottom", "SetVar": "ModuleVar", "Or": "Union", "Lfp": "Lfp"}
 
 
 def test_each_operator_declared_once():
-    """The process calculus reuses the flat algebra's operators: dynamic
-    declares no class or function under a name flat declares, and re-exports
-    the shared ones."""
-    from modalg import dynamic, flat
+    """The process calculus and the state logic reuse the flat algebra's
+    operators: neither dynamic nor lmumu declares a class or function under
+    a name flat declares, and both re-export the shared ones, lmumu under
+    its state names. flat._eval is the one evaluator of state sets."""
+    from modalg import dynamic, flat, lmumu
 
     def declared(module):
         return {name for name, value in vars(module).items()
                 if callable(value) and getattr(value, "__module__", None) == module.__name__}
 
     assert declared(dynamic) & declared(flat) == set()
+    assert declared(lmumu) & (declared(flat) | set(STATE_OPERATORS)) == set()
     for name in SHARED_OPERATORS:
         assert getattr(dynamic, name) is getattr(flat, name), name
         assert name in declared(flat), name
+    for state_name, name in STATE_OPERATORS.items():
+        assert getattr(lmumu, state_name) is getattr(flat, name), state_name
+    assert not hasattr(lmumu, "_eval_state") and not hasattr(flat, "_scoping")
+
+
+def _imports(path):
+    """(imported module, enclosing function) for every import statement."""
+    out = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            out.extend((name.split(".")[-1], function) for name in names)
+        elif isinstance(node, ast.Import):
+            out.extend((alias.name.split(".")[-1], function) for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return out
+
+
+def test_lower_layers_do_not_import_the_sorts_above():
+    """syntax and flat import nothing from dynamic or lmumu at module level;
+    flat reaches lmumu only in _eval, for the state-only nodes."""
+    found = {
+        (path.name, module, function)
+        for path in SOURCES if path.name in ("flat.py", "syntax.py")
+        for module, function in _imports(path) if module in ("dynamic", "lmumu")
+    }
+    assert found == {("flat.py", "lmumu", "_eval")}

@@ -198,3 +198,16 @@ class TestEqualityTest:
         _, _, u, val = pq
         got = set(eval_equality_test(SETP, D.Diagonal(), val, u).indices())
         assert got == {12, 13, 14, 15}
+
+    def test_under_identity_map(self):
+        # the only module's formals A, B are no vocabulary symbols; the
+        # tautology the diamond reaches for is !bot, which names none
+        domain = Domain(("a",))
+        u = build_universe(domain, Vocabulary((("P", 1), ("Q", 1))))
+        copy = AtomicModule.builtin(
+            "Copy", [("A", 1), ("B", 1)], fn=lambda d, rels: rels[0] == rels[1]
+        )
+        val = Valuation(domain, {}, {"Copy": copy})
+        copy_pq = D.Action("Copy", ("P", "Q"), frozenset({"P"}), frozenset({"Q"}))
+        assert len(eval_equality_test(copy_pq, copy_pq, val, u)) == 4
+        assert len(eval_equality_test(copy_pq, D.Diagonal(), val, u)) == 2

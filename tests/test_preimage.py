@@ -71,7 +71,7 @@ def test_diamond_and_box_match_image_of_pairs(pq, name):
                 eval_state(S.Diamond(a, S.Prop("FullP", ("P",))), val, u)
             continue
         checked += 1
-        nodes = walk(a, D.ProcExpr)
+        nodes = walk(a, within_sort=True)
         seen.update(type(node) for node in nodes)
         sides.update(D.select_side(node) for node in nodes if isinstance(node, D.Select))
         for density in densities:

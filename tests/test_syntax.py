@@ -20,6 +20,7 @@ FLAT = ("flat", F.FlatExpr, parse_flat, F.Bottom())
 PROC = ("dynamic", D.ProcExpr, parse_dyn, D.Diagonal())
 STATE = ("lmumu", S.StateExpr, parse_state, S.SetVar("Y"))
 SORTS = [FLAT, PROC, STATE]
+MODULES = {"flat": F, "dynamic": D, "lmumu": S}
 
 # one instance of every concrete node class in each sort that has it (name,
 # base class, parser, stand-in subterm), with its expected subterms
@@ -52,6 +53,7 @@ SAMPLES = [
     (PROC, D.TestNeq(ACT), (ACT,)),
     (PROC, D.ConstTest("P", A, False), ()),
     (PROC, D.StateTest(SP), (SP,)),
+    (STATE, S.Bottom(), ()),
     (STATE, SP, ()),
     (STATE, S.SetVar("X"), ()),
     (STATE, S.Or(SP, S.SetVar("X")), (SP, S.SetVar("X"))),
@@ -62,7 +64,14 @@ SAMPLES = [
     (STATE, S.Lfp("X", SP), (SP,)),
 ]
 
-IDS = [f"{sort[0]}.{type(node).__name__}" for sort, node, _ in SAMPLES]
+
+def _exported_name(sort, node):
+    """The name of node's class in its sort's module: a shared class is
+    exported under the sort's own name (lmumu.Or is flat.Union)."""
+    return next(name for name, value in vars(MODULES[sort[0]]).items() if value is type(node))
+
+
+IDS = [f"{sort[0]}.{_exported_name(sort, node)}" for sort, node, _ in SAMPLES]
 
 
 def _concrete_subclasses(cls):
@@ -105,5 +114,11 @@ def test_print_parse_round_trip(sort, node, kids):
 
 def test_walk_is_postorder_and_stops_at_other_sorts():
     a = D.Compose(ACT, D.StateTest(S.Diamond(PT, SP)))
-    assert list(walk(a, D.ProcExpr)) == [ACT, a.right, a]
+    assert list(walk(a, within_sort=True)) == [ACT, a.right, a]
     assert list(walk(a)) == [ACT, PT, SP, a.right.phi, a.right, a]
+    # a shared operator across a sort boundary is of both sorts; the
+    # boundary is the crossing field, not the class
+    a = D.Union(ACT, D.StateTest(S.Or(SP, S.SetVar("X"))))
+    assert list(walk(a, within_sort=True)) == [ACT, a.right, a]
+    phi = S.Diamond(D.Union(PT, ACT), S.Or(SP, S.SetVar("X")))
+    assert list(walk(phi, within_sort=True)) == [SP, S.SetVar("X"), phi.inner, phi]

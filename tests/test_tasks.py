@@ -423,6 +423,20 @@ class TestEquivalence:
         assert bad.passed
         assert all(not row.temp_mc and not row.reach and not row.ev for row in bad.rows)
 
+    def test_no_outputs_under_identity_map(self):
+        # with no outputs the goal is the tautology !bot; the only module's
+        # formals A, B are no vocabulary symbols, and the goal names none
+        domain = Domain(("a", "b"))
+        copy = AtomicModule.builtin(
+            "Copy", [("A", 1), ("B", 1)], fn=lambda d, rels: rels[0] == rels[1]
+        )
+        val = Valuation(domain, {}, {"Copy": copy})
+        e = F.Project(frozenset({"P"}), F.Atom("Copy", ("P", "Q")))
+        structure = Structure.make(domain, Vocabulary((("P", 1),)), {"P": [("a",)]})
+        report = equivalence_check(e, {"P"}, structure, {}, val)
+        assert report.passed and len(report.rows) == 2
+        assert all(row.temp_mc and row.reach and row.ev for row in report.rows)
+
 
 class TestEquivalenceScope:
     """Feedback selections over internal variables genuinely separate the
