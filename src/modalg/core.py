@@ -21,7 +21,7 @@ from .errors import (
     UnknownBuiltin,
     UnmappedVariable,
 )
-from .indexsets import IndexSet, cylinder, submasks
+from .indexsets import IndexSet, cylinder
 
 DEFAULT_UNIVERSE_CAP = 20
 
@@ -554,20 +554,28 @@ def extension_index_set(
 
     Enumerates only the vvoc slot patterns (locality), then expands over the
     untouched slots, so the membership oracle runs 2^(vvoc bits) times, not
-    2^(total bits).
+    2^(total bits). Each bound symbol's 2^width values are decoded once, and
+    a pattern is one choice of value per symbol. The cache is keyed by the
+    module object, as two valuations may give one name different modules.
     """
     symbols = _bound_symbols(module, var_to_symbol, universe.vocabulary)
-    key = (module.name, tuple(symbols))
+    key = (module, tuple(symbols))
     if cache is not None and key in cache:
         return cache[key]
-    vmask = universe.mask(symbols)
+    distinct = list(dict.fromkeys(symbols))
+    decoded = []  # per distinct symbol: (its bits in an index, its value)
+    for sym in distinct:
+        m = universe.mask([sym])
+        shift = (m & -m).bit_length() - 1
+        values = all_relation_values(universe.domain, universe.vocabulary.arity(sym))
+        decoded.append([(p << shift, value) for p, value in enumerate(values)])
+    position = [distinct.index(sym) for sym in symbols]
     accepted = [
-        pattern
-        for pattern in submasks(vmask)
-        if module.accepts(
-            universe.domain, [universe.rel_of_index(pattern, sym) for sym in symbols]
-        )
+        sum(bits for bits, _ in choice)
+        for choice in itertools.product(*decoded)
+        if module.accepts(universe.domain, [choice[k][1] for k in position])
     ]
+    vmask = universe.mask(symbols)
     result = cylinder(universe.size, accepted, universe.full_mask & ~vmask)
     if cache is not None:
         cache[key] = result

@@ -10,9 +10,12 @@ evaluates its formula with flat._eval, the one evaluator of state sets.
 
 Edge sets are possibly-complemented pair sets (see indexsets), so complement
 costs nothing and the intersection sugar -(-a | -b) stays sparse. eval_dyn
-builds the pairs of every subterm; the modalities of the state logic do not,
-they follow a process by preimage (lmumu.pre) and come here only for the
-operators that pre cannot follow. Binary fixed points run in the shared loop
+and build_transition_system build the pairs of every subterm. The modalities
+of the state logic and tasks.reach do not: they follow a process by its
+images of state sets, backward (lmumu.pre) or forward (lmumu.post), reading
+actions, tests and their intersections and projections in action normal form
+and stars as fixed points of state sets, and come here only for the
+operators the images cannot follow. Binary fixed points run in the shared loop
 of flat.EvalContext.fixpoint: semi-naive for a body linear in its variable
 (a star's `diag | Z ; a` composes only each round's new pairs), with the
 body's closed subterms (the star's `diag` and `a`) built once.

@@ -314,6 +314,14 @@ class EvalContext:
         def step(current: IndexSet) -> IndexSet:
             return evaluate(node.body, self, val.bind(node.var, box(u, current)))
 
+        return self.iterate(node, step, box.empty(u).iset)
+
+    def iterate(self, node: Node, step, empty: IndexSet) -> IndexSet:
+        """Least fixed point of `step` from `empty`, where `step` computes
+        node's body: fixpoint's step, or lmumu's star rule on state sets.
+        node's plan (is the body linear, which subterms are closed and so
+        hoisted) is made once; the rounds are recorded under node's label.
+        """
         plan = self.plans.get(id(node))
         if plan is None:
             linear, closed = fixpoint_plan(node)
@@ -324,12 +332,12 @@ class EvalContext:
         # their values even inside a closed subterm being evaluated
         outer, self.hoisting = self.hoisting, False
         try:
-            return self._iterate(node, step, box.empty(u).iset, plan[1])
+            return self._iterate(node, step, empty, plan[1])
         finally:
             self.hoisting = outer
 
     def _iterate(self, node: Node, step, empty: IndexSet, linear: bool) -> IndexSet:
-        """fixpoint's loop: naive, or semi-naive for a linear body."""
+        """iterate's loop: naive, or semi-naive for a linear body."""
         if not linear:
             return _lfp_indexsets(step, empty, lambda: self.label(node), self.stats)
         acc = delta = empty
@@ -400,9 +408,10 @@ def _evaluator(evaluate):
     evaluated once per context; closed means its value does not depend on
     `val`. Only the outermost closed subterm under evaluation keeps its
     value, as the ones inside it are not asked for again once it has its
-    own. lmumu.pre follows a process without evaluating it as a whole, so
-    the closed subterms it hands to an evaluator are outermost, and each
-    fixpoint loop starts a new outermost level (EvalContext.fixpoint).
+    own. lmumu.pre and lmumu.post follow a process without evaluating it as
+    a whole, so the closed subterms they hand to an evaluator are outermost,
+    and each fixpoint loop starts a new outermost level
+    (EvalContext.iterate).
     """
 
     def entry(node, ctx: EvalContext, val: Valuation) -> IndexSet:
@@ -518,6 +527,9 @@ def eval_flat(
     return StructureSet(universe, _eval(e, EvalContext(universe, stats), valuation))
 
 
+lmumu = None  # the module of the state-only nodes, bound by _eval
+
+
 @_evaluator
 def _eval(e: TUnion[FlatExpr, StateExpr], ctx: EvalContext, val: Valuation) -> IndexSet:
     u = ctx.universe
@@ -543,9 +555,10 @@ def _eval(e: TUnion[FlatExpr, StateExpr], ctx: EvalContext, val: Valuation) -> I
         return inner.intersection(_select_filter(e.left, e.right, val, u))
     if isinstance(e, Lfp):
         return ctx.fixpoint(e, val, _eval, StructureSet)
-    # the state-only nodes; lmumu imports this module
-    from . import lmumu
-
+    # the state-only nodes; lmumu imports this module, so it is bound on first use
+    global lmumu
+    if lmumu is None:
+        from . import lmumu
     if isinstance(e, lmumu.Prop):
         return ctx.extension(e, val)
     if isinstance(e, lmumu.And):

@@ -6,14 +6,17 @@ State formulas are the lifted algebra read on states: bot, set variables
 (SetVar), or (Or) and mu (Lfp) are flat's classes, flat._eval evaluates
 them, and this module declares only the state-only nodes.
 
-<a> phi and [a] phi are evaluated by preimage, `pre(a, X)`, which follows
-actions, tests, union, composition, counting, dn/neg, input or output
-selections and reverse down to state sets and builds no pairs; pair-level
-complement and projection, feedback selection, =?/!=?, up, module variables
-and binary fixed points go through its one fallback, which builds a's pairs
-(dynamic._eval_dyn) and takes their preimage. State fixed points share
-flat.EvalContext.fixpoint: `mu X . goal | <a> X` is linear in X and iterated
-on each round's new states only.
+<a> phi and [a] phi are evaluated by preimage, `pre(a, X)`, and
+reachability by the forward image, `post(a, X)`. Both read a process in its
+action normal form where it has one (`action_form`: actions, tests, their
+intersections and projections denote {(i, j) : j in ext, i = j off out}),
+and follow union, composition, counting, reverse, selections on inputs or
+outputs and stars (`mu Z . diag | Z ; b`, iterated on state sets) down to
+state sets without building pairs; pre also follows dn/neg, post up. Every
+other operator goes through one fallback per direction, which builds a's
+pairs (dynamic._eval_dyn) and takes their preimage or their targets. State
+fixed points share flat.EvalContext.fixpoint: `mu X . goal | <a> X` is
+linear in X and iterated on each round's new states only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import UnsafeRule
 # the operators shared with the flat algebra, re-exported under their state names
 from .flat import Bottom, Lfp, ModuleVar as SetVar, Union as Or
 from .flat import EvalContext, EvalStats, ProcExpr, StateExpr, _eval, _named, _select_filter
-from .indexsets import IndexSet, preimage
+from .indexsets import IndexSet, preimage, restrict, targets
 from .syntax import map_children, walk
 
 
@@ -95,57 +98,168 @@ def eval_state(
     return StructureSet(universe, _eval(phi, EvalContext(universe, stats), valuation))
 
 
+def action_form(a: ProcExpr, ctx: EvalContext, val: Valuation) -> Optional[tuple[IndexSet, int]]:
+    """(ext, out) when a denotes {(i, j) : j in ext, i agrees with j off the
+    bits of out}, else None: a's action normal form.
+
+    An action's out is its output bits; a test (and bot) changes nothing,
+    out = 0. The intersection -(-a | -b) of two forms is one, as is a
+    projection keeping K of one: it forgets ext off K and lets i differ
+    from j there.
+    """
+    u = ctx.universe
+    if isinstance(a, dynamic.Action):
+        return ctx.extension(a, val), u.mask({val.symbol(arg) for arg in a.outputs})
+    if isinstance(a, dynamic.TESTS):
+        return dynamic.diagonal_states(a, ctx, val), 0
+    if isinstance(a, Bottom):
+        return IndexSet(u.size), 0
+    if isinstance(a, dynamic.Complement):
+        both = a.inner
+        if not (isinstance(both, Or) and isinstance(both.left, dynamic.Complement)
+                and isinstance(both.right, dynamic.Complement)):
+            return None
+        left = action_form(both.left.inner, ctx, val)
+        right = None if left is None else action_form(both.right.inner, ctx, val)
+        if right is None:
+            return None
+        return left[0].intersection(right[0]), left[1] & right[1]
+    if isinstance(a, dynamic.Project):
+        inner = action_form(a.inner, ctx, val)
+        if inner is None:
+            return None
+        off = u.full_mask & ~u.mask(val.symbol(v) for v in a.keep)
+        return inner[0].project(off), inner[1] | off
+    return None
+
+
+def _star_step(a: ProcExpr) -> Optional[ProcExpr]:
+    """b when a has kleene_star(b)'s shape, mu Z . diag | Z ; b with Z not
+    free in b; else None."""
+    if not (isinstance(a, Lfp) and isinstance(a.body, Or) and a.body.left == dynamic.Diagonal()):
+        return None
+    loop = a.body.right
+    if (isinstance(loop, dynamic.Compose) and loop.left == SetVar(a.var)
+            and a.var not in dynamic.module_vars_of(loop.right)):
+        return loop.right
+    return None
+
+
+def _star(image, a: ProcExpr, b: ProcExpr, ctx: EvalContext, val: Valuation,
+          states: IndexSet) -> IndexSet:
+    """image(b*, X) = mu Y . X | image(b, Y) for a = b*, in a's fixpoint
+    loop: on each round's new states, its rounds recorded under a's label."""
+    return ctx.iterate(a, lambda delta: states.union(image(b, ctx, val, delta)),
+                       IndexSet(ctx.universe.size))
+
+
+def _count(image, a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
+    """The union of image^k(X) for k = low..high, where image^k(X) is the
+    image under a.inner's k-th power. The body is applied even when
+    high = 0, so its errors and statistics are eval_dyn's. It stops once an
+    image in the range repeats one in the range: the later ones cycle
+    through images already taken."""
+    taken = {states} if a.low == 0 else set()
+    acc = states if a.low == 0 else IndexSet(ctx.universe.size)
+    for k in range(1, max(a.high, 1) + 1):
+        states = image(a.inner, ctx, val, states)
+        if a.low <= k <= a.high:
+            if states in taken:
+                break
+            taken.add(states)
+            acc = acc.union(states)
+    return acc
+
+
 @_named
 def pre(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
     """{i : (i, j) in a for some j in states}: all that <a> and [a] need of a.
 
-    The operators below are followed down to state sets, with no pair built
-    (Burch, Clarke, McMillan et al., LICS 1990); every other operator goes
-    through the one fallback, _pre_by_pairs.
+    Action forms, union, composition, counting, dn/neg, input or output
+    selections, reverse and stars are followed down to state sets, with no
+    pair built (Burch, Clarke, McMillan et al., LICS 1990); every other
+    operator goes through the one fallback, _pre_by_pairs.
     """
     D = dynamic
-    u = ctx.universe
-    if isinstance(a, D.Action):
-        # a's pairs are (i, j), j in the extension, i = j off the output bits
-        outputs = u.mask({val.symbol(arg) for arg in a.outputs})
-        return ctx.extension(a, val).intersection(states).project(outputs)
-    if isinstance(a, D.TESTS):
-        return D.diagonal_states(a, ctx, val).intersection(states)
-    if isinstance(a, D.Bottom):
-        return IndexSet(u.size)
+    form = action_form(a, ctx, val)
+    if form is not None:
+        ext, out = form
+        return ext.intersection(states).project(out)
     if isinstance(a, D.Union):
         return pre(a.left, ctx, val, states).union(pre(a.right, ctx, val, states))
     if isinstance(a, D.Compose):
         return pre(a.left, ctx, val, pre(a.right, ctx, val, states))
     if isinstance(a, D.Count):
-        # pre of the k-th power, k = 0..high; the body is evaluated even
-        # when high = 0, so its errors and statistics are eval_dyn's
-        acc = states if a.low == 0 else IndexSet(u.size)
-        for k in range(1, max(a.high, 1) + 1):
-            states = pre(a.inner, ctx, val, states)
-            if a.low <= k <= a.high:
-                acc = acc.union(states)
-        return acc
+        return _count(pre, a, ctx, val, states)
     if isinstance(a, (D.Down, D.UnaryNeg)):
-        has_step = pre(a.inner, ctx, val, IndexSet.full(u.size))
+        has_step = pre(a.inner, ctx, val, IndexSet.full(ctx.universe.size))
         return (has_step if isinstance(a, D.Down) else has_step.complement()).intersection(states)
     if isinstance(a, D.Reverse):
         return pre(D.flip_actions(a.inner), ctx, val, states)
     if isinstance(a, D.Select):
         side = D.select_side(a)
         if side is not None:
-            keep = _select_filter(a.left, a.right, val, u)
+            keep = _select_filter(a.left, a.right, val, ctx.universe)
             if side == 0:
                 return pre(a.inner, ctx, val, states).intersection(keep)
             return pre(a.inner, ctx, val, states.intersection(keep))
+    b = _star_step(a)
+    if b is not None:
+        return _star(pre, a, b, ctx, val, states)
     return _pre_by_pairs(a, ctx, val, states)
 
 
 def _pre_by_pairs(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
     """The fallback of pre: a's pairs, then their preimage. Taken by
-    pair-level Complement and Project, feedback Select, TestEq/TestNeq, Up,
-    ModuleVar and Lfp."""
+    pair-level Complement and Project of what is not an action form,
+    feedback Select, TestEq/TestNeq, Up, ModuleVar and Lfp other than a
+    star."""
     return preimage(dynamic._eval_dyn(a, ctx, val), states)
+
+
+@_named
+def post(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
+    """{j : (i, j) in a for some i in states}: all that reach needs of a.
+
+    pre's mirror image, rule by rule: action forms, union, composition,
+    counting, up, input or output selections, reverse and stars are
+    followed forward with no pair built; every other operator goes through
+    the one fallback, _post_by_pairs.
+    """
+    D = dynamic
+    form = action_form(a, ctx, val)
+    if form is not None:
+        ext, out = form
+        return ext.intersection(states.project(out))
+    if isinstance(a, D.Union):
+        return post(a.left, ctx, val, states).union(post(a.right, ctx, val, states))
+    if isinstance(a, D.Compose):
+        return post(a.right, ctx, val, post(a.left, ctx, val, states))
+    if isinstance(a, D.Count):
+        return _count(post, a, ctx, val, states)
+    if isinstance(a, D.Up):
+        return post(a.inner, ctx, val, IndexSet.full(ctx.universe.size)).intersection(states)
+    if isinstance(a, D.Reverse):
+        return post(D.flip_actions(a.inner), ctx, val, states)
+    if isinstance(a, D.Select):
+        side = D.select_side(a)
+        if side is not None:
+            keep = _select_filter(a.left, a.right, val, ctx.universe)
+            if side == 0:
+                return post(a.inner, ctx, val, states.intersection(keep))
+            return post(a.inner, ctx, val, states).intersection(keep)
+    b = _star_step(a)
+    if b is not None:
+        return _star(post, a, b, ctx, val, states)
+    return _post_by_pairs(a, ctx, val, states)
+
+
+def _post_by_pairs(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
+    """The fallback of post: a's pairs from states, then their targets.
+    Taken by pair-level Complement and Project of what is not an action
+    form, feedback Select, TestEq/TestNeq, Down, UnaryNeg, ModuleVar and
+    Lfp other than a star."""
+    return targets(restrict(dynamic._eval_dyn(a, ctx, val), states, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +418,6 @@ def _implies(antecedent: StateExpr, consequent: StateExpr) -> StateExpr:
     return Or(Not(antecedent), consequent)
 
 
-def _rule_tautology(rule: DatalogRule) -> StateExpr:
-    atom = rule.body[0]
-    prop = Prop(atom.pred, atom.args)
-    return Or(prop, Not(prop))
-
-
 def _translate_rule(rule: DatalogRule, io_split: Mapping[str, tuple[int, int]]) -> StateExpr:
     if not rule.body or not rule.head:
         raise UnsafeRule("rules need a body and a head")
@@ -333,13 +441,12 @@ def _translate_rule(rule: DatalogRule, io_split: Mapping[str, tuple[int, int]]) 
             inputs=frozenset({modality_atom.args[in_pos]}),
             outputs=frozenset({modality_atom.args[out_pos]}),
         )
+        goal: StateExpr = TOP  # no unary head: some successor is enough
         if unary_heads:
             if unary_heads[0].args != (exist,):
                 raise UnsafeRule("the unary head atom must be over the existential variable")
-            post: StateExpr = Prop(unary_heads[0].pred, unary_heads[0].args)
-        else:
-            post = _rule_tautology(rule)
-        return _implies(_body_formula(rule), Diamond(action, post))
+            goal = Prop(unary_heads[0].pred, unary_heads[0].args)
+        return _implies(_body_formula(rule), Diamond(action, goal))
 
     # no existentials: a single binary body atom guarding a unary head
     if len(unary_heads) == 1 and not binary_heads and len(rule.body) == 1 and len(rule.body[0].args) == 2:

@@ -41,6 +41,7 @@ from .errors import (
     WellformednessError,
 )
 from .flat import Const, FlatExpr, Var, free_relational_vars, occurring_vars
+from .indexsets import IndexSet
 from .syntax import Node, children, map_children, walk
 
 MX_RESULT_LIMIT = 1 << 20
@@ -626,15 +627,27 @@ def reach(
 ) -> bool:
     """Is there an a-labelled edge from the state to a goal-satisfying state?
 
-    The goal is a conjunction of constant tests on designated variables,
-    checked on a's edges: the transition system's label for a itself.
+    The goal is a conjunction of constant tests on designated variables. It
+    is met by a's forward image of the state (lmumu.post), which builds no
+    pair for the operators post follows; temporal model checking answers
+    the same question backward, by preimage.
     """
-    edges = dynamic.eval_dyn(a, valuation, universe)
-    source = universe.index_of(structure)
+    return _reach(a, structure, goal, valuation, flat.EvalContext(universe))
+
+
+def _reach(
+    a: dynamic.ProcExpr,
+    structure: Structure,
+    goal: Mapping[str, RelationValue],
+    valuation: Valuation,
+    ctx: flat.EvalContext,
+) -> bool:
+    u = ctx.universe
+    source = IndexSet(u.size, [u.index_of(structure)])
     goal_states = values_index_set(
-        universe, {valuation.symbol(var): value for var, value in goal.items()}
+        u, {valuation.symbol(var): value for var, value in goal.items()}
     )
-    return any(edges.contains(source, j) for j in goal_states.indices())
+    return bool(lmumu.post(a, ctx, valuation, source).intersection(goal_states))
 
 
 # ---------------------------------------------------------------------------
@@ -792,10 +805,14 @@ def equivalence_check(
     ev_witness = ev(e, sigma, structure, dict(outputs), valuation, vocab)
     ev_ok = ev_witness is not None
 
+    # every row's temp-MC and REACH share one context, so each atom's
+    # extension is built once per call
+    ctx = flat.EvalContext(universe)
+    source = universe.index_of(initial)
     rows = []
     for assignment in enumerate_io_assignments(e, internal):
         alpha = dynamize(e, sigma, output_vars, assignment)
-        tmc = temp_mc(lmumu.Diamond(alpha, goal_formula), initial, val2, universe)
-        rch = reach(alpha, initial, dict(outputs), val2, universe)
+        tmc = source in flat._eval(lmumu.Diamond(alpha, goal_formula), ctx, val2)
+        rch = _reach(alpha, initial, dict(outputs), val2, ctx)
         rows.append(EquivalenceRow(assignment, tmc, rch, ev_ok))
     return EquivalenceReport(rows)

@@ -203,23 +203,29 @@ def test_non_monotone_body_refused(pq, sort):
 
 
 def test_closed_process_under_modality_built_once(monkeypatch):
-    # <star ; step> X in a state fixpoint: pre follows the composition and
-    # hands the star to its pair fallback in every round, but the star is
-    # closed, so it is iterated once (one composition per round of its own)
-    # and its diagonal and action are built once
+    # <p ; step> X in a state fixpoint, p closed. A star is followed by pre
+    # as a fixpoint of state sets and builds no pairs. A closed process pre
+    # hands to its pair fallback in every round, here the mirrored star
+    # mu Z . diag | copy ; Z, is iterated once (one composition per round of
+    # its own) and its diagonal and action are built once.
     u, val, _ = _chain_setup()
     copy_pq = D.Action("Copy", ("P", "Q"), frozenset({"P"}), frozenset({"Q"}))
     step = D.Action("Copy", ("Q", "R"), frozenset({"Q"}), frozenset({"R"}))
-    node = S.Lfp("Y", S.Or(S.Prop("Ne", ("R",)),
-                           S.Diamond(D.Compose(D.kleene_star(copy_pq), step), S.SetVar("Y"))))
+    mirrored = D.Lfp("Z", D.Union(D.Diagonal(), D.Compose(copy_pq, D.ModuleVar("Z"))))
     built = {"inertia": 0, "diagonal": 0, "compose": 0}
     for name in built:
         original = getattr(D, name)
         monkeypatch.setattr(D, name, lambda *args, _name=name, _fn=original: (
             built.__setitem__(_name, built[_name] + 1) or _fn(*args)))
-    stats = EvalStats()
-    eval_state(node, val, u, stats)
-    rounds = stats.fixpoint_iterations
-    assert rounds[to_text(node)] >= 3
-    assert built == {"inertia": 1, "diagonal": 1,
-                     "compose": rounds[to_text(node.body.right.process.left)]}
+    for proc in (D.kleene_star(copy_pq), mirrored):
+        built.update(dict.fromkeys(built, 0))
+        node = S.Lfp("Y", S.Or(S.Prop("Ne", ("R",)),
+                               S.Diamond(D.Compose(proc, step), S.SetVar("Y"))))
+        stats = EvalStats()
+        eval_state(node, val, u, stats)
+        rounds = stats.fixpoint_iterations
+        assert rounds[to_text(node)] >= 3 and rounds[to_text(proc)] >= 2
+        if proc is mirrored:
+            assert built == {"inertia": 1, "diagonal": 1, "compose": rounds[to_text(proc)]}
+        else:
+            assert built == {"inertia": 0, "diagonal": 0, "compose": 0}

@@ -1,0 +1,276 @@
+"""Images of state sets under a process, without its pairs: lmumu.pre
+(backward, for <a> and [a]) and lmumu.post (forward, for reach) against the
+pairs eval_dyn builds, the action normal form against its pairs, and the
+tasks that use the images: they build no pair where the images follow the
+process, and answer at the default 2^20 cap."""
+
+import random
+import time
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from _gen import three_element_setup
+from modalg import dynamic as D
+from modalg import flat as F
+from modalg import indexsets
+from modalg import lmumu as S
+from modalg.core import (
+    AtomicModule,
+    Domain,
+    RelationValue,
+    Structure,
+    Valuation,
+    Vocabulary,
+    build_universe,
+)
+from modalg.errors import CapExceeded, IllegalSelect, ModalgError
+from modalg.flat import Const, EvalContext, Var, intersect
+from modalg.indexsets import IndexSet, inertia, preimage
+from modalg.parser import parse_spec
+from modalg.printer import to_text
+from modalg.syntax import walk
+from modalg.tasks import equivalence_check, reach, temp_mc
+
+
+AB = Domain(("a", "b"))
+
+
+def _hc2col_valuation():
+    """The circuit and colouring builtins over {a,b}."""
+    return Valuation(AB, {}, {
+        "HC": AtomicModule.builtin("HC", [("V0", 1), ("X0", 2), ("Y0", 2)],
+                                   "hamiltonian_circuit"),
+        "TwoCol": AtomicModule.builtin("TwoCol", [("V0", 1), ("X0", 2), ("Z0", 1), ("T0", 1)],
+                                       "two_col"),
+    })
+
+
+def _circuit_setup():
+    """The circuit/colouring shape on 1,024 structures: {a,b} with V/1, X/2,
+    Z/1, T/1, where HC(V,X,X) says X is itself a circuit through V."""
+    return AB, Vocabulary((("V", 1), ("X", 2), ("Z", 1), ("T", 1))), _hc2col_valuation()
+
+
+COPY_PQ = D.Action("Copy", ("P", "Q"), frozenset({"P"}), frozenset({"Q"}))
+# fill P, then copy it into Q: the second power reaches states the first
+# does not, so counting must not stop early
+FILL_THEN_COPY = D.Union(D.Action("FullP", ("P",), frozenset(), frozenset({"P"})), COPY_PQ)
+
+# setup -> (atoms (module, args), projection keeps, a selection on a unary
+# symbol, fixed terms, random terms, deepest random term)
+SETUPS = {
+    "abc": (three_element_setup,
+            [("FullP", ("P",)), ("EmptyQ", ("Q",)), ("NonemptyP", ("P",)), ("Copy", ("P", "Q"))],
+            [frozenset({"Q"}), frozenset({"P", "Q"})], (Var("P"), Const.of([("a",)])),
+            [D.Count(FILL_THEN_COPY, 1, 2), D.Count(FILL_THEN_COPY, 0, 3),
+             D.Project(frozenset({"Q"}), intersect(COPY_PQ, D.Test("NonemptyP", ("P",))))],
+            15, 2),
+    "circuit": (_circuit_setup,
+                [("HC", ("V", "X", "X")), ("TwoCol", ("V", "X", "Z", "T"))],
+                [frozenset({"V", "X", "Z"}), frozenset({"V", "X", "T"}), frozenset({"X", "Z", "T"})],
+                (Var("Z"), Const.of([("a",)])), [], 40, 3),
+}
+
+
+def random_image_proc(rng, atoms, keeps, select, depth):
+    """Processes of actions with random in/out splits and tests, combined by
+    intersection, projection, union, composition, counting, reverse, star,
+    up and a selection."""
+    if depth <= 0:
+        module, args = rng.choice(atoms)
+        if rng.random() < 0.25:
+            return D.Test(module, args)
+        outs = frozenset(arg for arg in args if rng.random() < 0.5)
+        return D.Action(module, args, frozenset(args) - outs, outs)
+
+    def sub():
+        return random_image_proc(rng, atoms, keeps, select, depth - 1)
+
+    pick = rng.randrange(10)
+    if pick in (0, 1):
+        return intersect(sub(), sub())
+    if pick == 2:
+        return D.Project(rng.choice(keeps), sub())
+    if pick == 3:
+        return D.Union(sub(), sub())
+    if pick == 4:
+        return D.Compose(sub(), sub())
+    if pick == 5:
+        low = rng.randrange(2)
+        return D.Count(sub(), low, low + rng.randrange(3))
+    if pick == 6:
+        return D.Reverse(sub())
+    if pick == 7:
+        return D.kleene_star(sub())
+    if pick == 8:
+        return D.Up(sub())
+    return D.Select(*select, sub())
+
+
+def _post_of_pairs(pairs, n, sources):
+    """{j : (i, j) in pairs for some i in sources}, from the stored codes
+    (i * n + j) of a plain or complemented pair set."""
+    if not pairs.negated:
+        return {c % n for c in pairs.members if c // n in sources}
+    removed = Counter(c % n for c in pairs.members if c // n in sources)
+    return {j for j in range(n) if removed[j] < len(sources)}
+
+
+def _raise(*args):
+    raise AssertionError("called across directions")
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+def test_images_match_pairs(monkeypatch, name):
+    setup, atoms, keeps, select, fixed, terms, deepest = SETUPS[name]
+    domain, vocab, val = setup()
+    u = build_universe(domain, vocab)
+    n = u.size
+    rng = random.Random(11)
+    checked, forms, kinds = 0, Counter(), Counter()
+    for k in range(len(fixed) + terms):
+        a = fixed[k] if k < len(fixed) else random_image_proc(
+            rng, atoms, keeps, select, rng.randrange(1, deepest + 1))
+        ctx, ref_ctx = EvalContext(u), EvalContext(u)
+        ref_ctx.ext_cache = ctx.ext_cache  # the extensions are not under test
+        try:
+            pairs = D._eval_dyn(a, ref_ctx, val)
+        except CapExceeded:
+            continue  # too many pairs for the reference
+        except ModalgError as exc:  # an illegal selection
+            with pytest.raises(type(exc)):
+                S.pre(a, ctx, val, IndexSet.full(n))
+            continue
+        checked += 1
+        kinds.update(type(node) for node in walk(a, within_sort=True))
+        for sources in (rng.sample(range(n), 1), [i for i in range(n) if rng.random() < 0.2]):
+            states = IndexSet(n, sources)
+            with monkeypatch.context() as patch:
+                patch.setattr(S, "post", _raise)
+                got = S.pre(a, ctx, val, states)
+            assert got == preimage(pairs, states), to_text(a)
+            with monkeypatch.context() as patch:
+                patch.setattr(S, "pre", _raise)
+                got = S.post(a, ctx, val, states)
+            assert set(got.indices()) == _post_of_pairs(pairs, n, set(sources)), to_text(a)
+        for node in walk(a, within_sort=True):
+            form = S.action_form(node, ctx, val)
+            if form is None:
+                continue
+            try:
+                want = D._eval_dyn(node, ref_ctx, val)
+                got = inertia(*form)
+            except CapExceeded:
+                continue
+            assert got == want, to_text(node)
+            forms[type(node)] += 1
+    assert checked >= terms * 3 // 4
+    assert forms[D.Complement] and forms[D.Project]
+    assert all(kinds[cls] for cls in (D.Complement, D.Project, D.Union, D.Compose, D.Count,
+                                      D.Reverse, D.Lfp, D.Up, D.Select, D.Test, D.Action))
+
+
+# ---------------------------------------------------------------------------
+# The tasks on images
+
+GRAPH = Path(__file__).resolve().parent.parent / "graph.mod"
+
+
+def unary(elements):
+    return RelationValue.of(1, [(e,) for e in elements])
+
+
+def _graph_three_way():
+    spec = parse_spec(GRAPH.read_text())
+    d = spec.tasks["three_way"]
+    sigma_vocab = Vocabulary(tuple((s, a) for s, a in spec.vocabulary.symbols if s in d.sigma))
+    structure = Structure.make(spec.domain, sigma_vocab, {
+        s: d.bindings.get(s, RelationValue.of(a)) for s, a in sigma_vocab.symbols})
+    return (spec.flat_defs[d.formula], d.sigma, structure, dict(d.outputs), spec.valuation(),
+            spec.vocabulary)
+
+
+def _equivalence_instances():
+    """(formula, sigma, input, outputs, valuation, vocabulary, verdict, rows)"""
+    e, sigma, structure, outputs, val, vocab = _graph_three_way()
+    yield e, sigma, structure, outputs, val, vocab, True, 4
+    val = _hc2col_valuation()
+    conj = intersect(F.Atom("HC", ("V", "X", "Y")), F.Atom("TwoCol", ("V", "Y", "Z", "T")))
+    pipe = D.Project(frozenset({"V", "X", "Z", "T"}), conj)
+    vocab = Vocabulary((("V", 1), ("X", 2), ("Y", 2), ("Z", 1), ("T", 1)))
+    cycle = RelationValue.of(2, [("a", "b"), ("b", "a")])
+    graph = Structure.make(AB, Vocabulary((("V", 1), ("X", 2))), {"V": unary("ab"), "X": cycle})
+    for z, t, verdict in (("a", "b", True), ("ab", "", False)):
+        yield (pipe, {"V", "X"}, graph, {"Z": unary(z), "T": unary(t)}, val, vocab, verdict, 4)
+        yield (conj, {"V", "X"}, graph, {"Y": cycle, "Z": unary(z), "T": unary(t)}, val, vocab,
+               verdict, 1)
+    copy = AtomicModule.builtin("Copy", [("A", 1), ("B", 1)], fn=lambda d, r: r[0] == r[1])
+    chain = D.Project(frozenset({"P", "R"}), intersect(F.Atom("Copy", ("P", "Q")),
+                                                       F.Atom("Copy", ("Q", "R"))))
+    source = Structure.make(AB, Vocabulary((("P", 1),)), {"P": unary("a")})
+    for r, verdict in (("a", True), ("", False)):
+        yield (chain, {"P"}, source, {"R": unary(r)}, Valuation(AB, {}, {"Copy": copy}),
+               Vocabulary((("P", 1), ("Q", 1), ("R", 1))), verdict, 4)
+
+
+def test_equivalence_check_builds_no_pairs(monkeypatch):
+    built = []
+    original = indexsets.PairSet.__init__
+    monkeypatch.setattr(indexsets.PairSet, "__init__",
+                        lambda self, *args, **kw: built.append(1) or original(self, *args, **kw))
+    for e, sigma, structure, outputs, val, vocab, verdict, rows in _equivalence_instances():
+        report = equivalence_check(e, sigma, structure, outputs, val, vocab)
+        assert report.passed and len(report.rows) == rows, to_text(e)
+        assert {(r.temp_mc, r.reach, r.ev) for r in report.rows} == {(verdict,) * 3}
+    assert built == []
+
+
+def test_reach_forward_modalities_backward(monkeypatch):
+    """reach never calls pre, and the modalities never call post, so
+    equivalence_check's REACH and temp-MC rows stay independent."""
+    domain, vocab, val = three_element_setup()
+    u = build_universe(domain, vocab)
+    rng = random.Random(3)
+    start = u.structure_at(rng.randrange(u.size))
+    checked = 0
+    for _ in range(12):
+        a = D.kleene_star(random_image_proc(rng, *SETUPS["abc"][1:4], 2))
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(S, "pre", _raise)
+                forward = reach(a, start, {"P": unary("abc")}, val, u)
+            with monkeypatch.context() as patch:
+                patch.setattr(S, "post", _raise)
+                backward = temp_mc(S.Diamond(a, S.Prop("FullP", ("P",))), start, val, u)
+                S.eval_state(S.Box(a, S.Prop("FullP", ("P",))), val, u)
+        except IllegalSelect:
+            continue
+        assert forward == backward, to_text(a)
+        checked += 1
+    assert checked >= 8
+
+
+def test_star_at_the_cap():
+    """<(3-action copy chain)*> on 10 unary symbols over {a,b}: 2^20 states,
+    too many for the star's pairs, not for its images."""
+    symbols = [f"P{i}" for i in range(10)]
+    vocab = Vocabulary(tuple((s, 1) for s in symbols))
+    u = build_universe(AB, vocab)
+    assert u.size == 1 << 20
+    val = Valuation(AB, {}, {
+        "Copy": AtomicModule.builtin("Copy", [("A", 1), ("B", 1)], fn=lambda d, r: r[0] == r[1]),
+        "HasA": AtomicModule.builtin("HasA", [("A", 1)], fn=lambda d, r: ("a",) in r[0].tuples),
+    })
+    steps = [D.Action("Copy", (s, t), frozenset({s}), frozenset({t}))
+             for s, t in zip(symbols, symbols[1:4])]
+    star = D.kleene_star(D.Union(D.Union(steps[0], steps[1]), steps[2]))
+    relations = {s: unary("") for s in symbols}
+    start = Structure.make(AB, vocab, {**relations, "P0": unary("a")})
+    for goal, want in (("P3", True), ("P4", False)):
+        for ask in (lambda: reach(star, start, {goal: unary("a")}, val, u),
+                    lambda: temp_mc(S.Diamond(star, S.Prop("HasA", (goal,))), start, val, u)):
+            began = time.perf_counter()
+            assert ask() is want
+            assert time.perf_counter() - began < 1.0

@@ -4,10 +4,11 @@ Every other module goes through the methods of IndexSet (state sets) and
 PairSet (pair sets) and the operations next to them; none reads a state
 set's bitmap, a pair set's stored members or complement flag, or enforces
 the budget itself. `submasks` is used outside indexsets.py only to
-enumerate slot patterns for an oracle or a selection.
+enumerate slot patterns for a selection.
 
-The atom rule, the task layer's choice of search and the modalities'
-fallback to pair sets are likewise in one function each.
+The atom rule and the task layer's choice of search are likewise in one
+function each, and the images of a process fall back to pair sets in one
+function per direction.
 """
 
 import ast
@@ -16,7 +17,7 @@ from pathlib import Path
 import modalg
 
 SOURCES = sorted(Path(modalg.__file__).parent.glob("*.py"))
-SUBMASK_USERS = {("core.py", "extension_index_set"), ("flat.py", "_select_filter")}
+SUBMASK_USERS = {("flat.py", "_select_filter")}
 
 
 def _uses(path):
@@ -80,17 +81,22 @@ def test_one_model_search_fork():
 
 
 def test_one_pair_fallback_for_modalities():
-    """Diamonds and boxes go through lmumu.pre; a process's pairs are built
-    for them, and their preimage taken, only in pre's one fallback."""
-    fallback = {("lmumu.py", "_pre_by_pairs")}
+    """Diamonds and boxes go through lmumu.pre, reachability through
+    lmumu.post; a process's pairs are built for them only in one fallback
+    per direction, which takes their preimage or their targets. The task
+    layer builds no pairs itself."""
+    backward, forward = ("lmumu.py", "_pre_by_pairs"), ("lmumu.py", "_post_by_pairs")
     preimage_users = {
         (path.name, function)
         for path in SOURCES if path.name != "indexsets.py"
         for function in _functions_using(path, "preimage")
     }
-    assert preimage_users == fallback
+    assert preimage_users == {backward}
     lmumu = next(path for path in SOURCES if path.name == "lmumu.py")
-    assert {("lmumu.py", f) for f in _functions_using(lmumu, "_eval_dyn")} == fallback
+    assert {("lmumu.py", f) for f in _functions_using(lmumu, "_eval_dyn")} == {backward, forward}
+    assert {("lmumu.py", f) for f in _functions_using(lmumu, "targets")} == {forward}
+    tasks = next(path for path in SOURCES if path.name == "tasks.py")
+    assert not _functions_using(tasks, "eval_dyn") | _functions_using(tasks, "_eval_dyn")
 
 
 SHARED_OPERATORS = ("Bottom", "ModuleVar", "Union", "Complement", "Project", "Select", "Lfp",
