@@ -11,11 +11,13 @@ evaluates its formula with flat._eval, the one evaluator of state sets.
 Edge sets are possibly-complemented pair sets (see indexsets), so complement
 costs nothing and the intersection sugar -(-a | -b) stays sparse. eval_dyn
 and build_transition_system build the pairs of every subterm. The modalities
-of the state logic and tasks.reach do not: they follow a process by its
-images of state sets, backward (lmumu.pre) or forward (lmumu.post), reading
-actions, tests and their intersections and projections in action normal form
-and stars as fixed points of state sets, and come here only for the
-operators the images cannot follow. Binary fixed points run in the shared loop
+of the state logic and tasks.reach do not: they follow a process by one
+image function of state sets, lmumu.image, backward (side 0, the sources)
+or forward (side 1, the targets), reading actions, tests and their
+intersections and projections in action normal form and stars as fixed
+points of state sets, and come here only for the operators the image cannot
+follow. dn, up and neg take the same image of their operand's pairs, from
+every state (indexsets.image). Binary fixed points run in the shared loop
 of flat.EvalContext.fixpoint: semi-naive for a body linear in its variable
 (a star's `diag | Z ; a` composes only each round's new pairs), with the
 body's closed subterms (the star's `diag` and `a`) built once.
@@ -37,10 +39,9 @@ from .indexsets import (
     PairSet,
     compose,
     diagonal,
+    image,
     inertia,
     restrict,
-    sources,
-    targets,
 )
 from .syntax import children, map_children, walk
 
@@ -348,12 +349,10 @@ def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
         return _eval_select(a, ctx, val)
     if isinstance(a, Lfp):
         return ctx.fixpoint(a, val, _eval_dyn, EdgeSet)
-    if isinstance(a, Down):
-        return diagonal(sources(_eval_dyn(a.inner, ctx, val)))
-    if isinstance(a, Up):
-        return diagonal(targets(_eval_dyn(a.inner, ctx, val)))
-    if isinstance(a, UnaryNeg):
-        return diagonal(sources(_eval_dyn(a.inner, ctx, val)).complement())
+    if isinstance(a, (Down, Up, UnaryNeg)):
+        # the sources of a.inner's pairs (dn, neg), or their targets (up)
+        ends = image(_eval_dyn(a.inner, ctx, val), IndexSet.full(n), int(isinstance(a, Up)))
+        return diagonal(ends.complement() if isinstance(a, UnaryNeg) else ends)
     if isinstance(a, Compose):
         return compose(_eval_dyn(a.left, ctx, val), _eval_dyn(a.right, ctx, val))
     if isinstance(a, Count):

@@ -22,16 +22,18 @@ from .core import (
     StructureSet,
     Universe,
     Valuation,
+    all_relation_values,
     extension_index_set,
 )
 from .errors import (
     ArityMismatch,
     CapExceeded,
+    ModalgError,
     NonMonotoneDetected,
     UnboundModuleVar,
     WellformednessError,
 )
-from .indexsets import IndexSet, cylinder, submasks
+from .indexsets import IndexSet, cylinder
 from .syntax import Node, children, walk
 
 
@@ -408,10 +410,9 @@ def _evaluator(evaluate):
     evaluated once per context; closed means its value does not depend on
     `val`. Only the outermost closed subterm under evaluation keeps its
     value, as the ones inside it are not asked for again once it has its
-    own. lmumu.pre and lmumu.post follow a process without evaluating it as
-    a whole, so the closed subterms they hand to an evaluator are outermost,
-    and each fixpoint loop starts a new outermost level
-    (EvalContext.iterate).
+    own. lmumu.image follows a process without evaluating it as a whole, so
+    the closed subterms it hands to an evaluator are outermost, and each
+    fixpoint loop starts a new outermost level (EvalContext.iterate).
     """
 
     def entry(node, ctx: EvalContext, val: Valuation) -> IndexSet:
@@ -459,24 +460,23 @@ def _select_filter(
         if arity is None or left.value(arity).tuples == right.value(arity).tuples:
             return IndexSet.full(u.size)
         return IndexSet(u.size)
-    # at least one variable: enumerate only the involved symbol slots
     vars_ = [op.name for op in (left, right) if isinstance(op, Var)]
     syms = [valuation.symbol(v) for v in vars_]
     for v, s in zip(vars_, syms):
         if s not in u.vocabulary:
             raise ArityMismatch(f"selection operand {v} maps to unknown symbol {s}")
-    mask = u.mask(syms)
-
-    def val_of(op: Operand, pattern: int) -> frozenset:
-        if isinstance(op, Var):
-            return u.rel_of_index(pattern, valuation.symbol(op.name)).tuples
-        arity = op.arity
-        if arity is None:
-            arity = u.vocabulary.arity(syms[0])
-        return op.value(arity).tuples
-
-    equal = [p for p in submasks(mask) if val_of(left, p) == val_of(right, p)]
-    return cylinder(u.size, equal, u.full_mask & ~mask)
+    arity = u.vocabulary.arity(syms[0])
+    if len(syms) == 1:  # against a constant: its one slot pattern, if it is a value
+        const = left if isinstance(left, Const) else right
+        try:
+            keys = [u.encode_rel(syms[0], RelationValue(arity, const.tuples))]
+        except ModalgError:  # tuples of another arity or off the domain
+            keys = []
+    else:  # one pattern per value; of two arities, only both empty are equal
+        same = u.vocabulary.arity(syms[1]) == arity
+        values = all_relation_values(u.domain, arity) if same else [RelationValue.of(arity)]
+        keys = [u.encode_rel(syms[0], v) | u.encode_rel(syms[1], v) for v in values]
+    return cylinder(u.size, keys, u.full_mask & ~u.mask(syms))
 
 
 def _check_injective(e: FlatExpr, valuation: Valuation) -> None:
@@ -566,10 +566,10 @@ def _eval(e: TUnion[FlatExpr, StateExpr], ctx: EvalContext, val: Valuation) -> I
     if isinstance(e, lmumu.Not):
         return _eval(e.inner, ctx, val).complement()
     if isinstance(e, lmumu.Diamond):
-        return lmumu.pre(e.process, ctx, val, _eval(e.inner, ctx, val))
+        return lmumu.image(e.process, ctx, val, _eval(e.inner, ctx, val), 0)
     if isinstance(e, lmumu.Box):
         bad = _eval(e.inner, ctx, val).complement()
-        return lmumu.pre(e.process, ctx, val, bad).complement()
+        return lmumu.image(e.process, ctx, val, bad, 0).complement()
     raise TypeError(f"not a flat or state expression: {e!r}")
 
 

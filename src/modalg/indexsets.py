@@ -8,8 +8,8 @@ per-bit column masks (Knuth, TAOCP 4A §7.1.3). A pair set lives over
 2^(2*bits) codes, the pair (i, j) coded (i << bits) | j, too many for a
 bitmap: it is an explicit member set or the complement of one, so complement
 is O(1), unions and intersections go through De Morgan, and only enumeration
-materializes. Pair projection, the images of a pair set and the preimage of a
-state set are existentials over some bits of a code and share one complement
+materializes. Pair projection and the image of a state set in either
+direction are existentials over some bits of a code and share one complement
 rule (`_classes`).
 """
 
@@ -270,33 +270,19 @@ def _half_bits(pair_space: int) -> int:
     return (pair_space.bit_length() - 1) // 2
 
 
-def _image(pairs: PairSet, codes: Iterable[int], shift: int, class_size: int) -> IndexSet:
-    """The state set of the components `code >> shift` (0: targets, bits:
-    sources) of the classes that `codes` meet, by the complement rule."""
-    bits = _half_bits(pairs.space)
-    keys = _classes(codes, pairs.negated, ((1 << bits) - 1) << shift, class_size)
-    out = IndexSet(1 << bits, (k >> shift for k in keys))
-    return out.complement() if pairs.negated else out
-
-
-def sources(pairs: PairSet) -> IndexSet:
-    """{i : (i, j) in pairs for some j}."""
-    return _image(pairs, pairs.members, _half_bits(pairs.space), 1 << _half_bits(pairs.space))
-
-
-def targets(pairs: PairSet) -> IndexSet:
-    """{j : (i, j) in pairs for some i}."""
-    return _image(pairs, pairs.members, 0, 1 << _half_bits(pairs.space))
-
-
-def preimage(pairs: PairSet, states: IndexSet) -> IndexSet:
-    """{i : (i, j) in pairs for some j in states}."""
+def image(pairs: PairSet, states: IndexSet, side: int) -> IndexSet:
+    """{i : (i, j) in pairs for some j in states} for side 0 (the sources),
+    {j : (i, j) in pairs for some i in states} for side 1 (the targets)."""
     bits = _half_bits(pairs.space)
     if not states:
         return IndexSet(1 << bits)
     low, view = (1 << bits) - 1, states._bytes()
-    hits = [c for c in pairs.members if view[(j := c & low) >> 3] >> (j & 7) & 1]
-    return _image(pairs, hits, bits, len(states))
+    tested = bits * side  # the shift of the component that must lie in states
+    hits = [c for c in pairs.members if view[(k := c >> tested & low) >> 3] >> (k & 7) & 1]
+    kept = bits - tested
+    keys = _classes(hits, pairs.negated, low << kept, len(states))
+    out = IndexSet(1 << bits, (k >> kept for k in keys))
+    return out.complement() if pairs.negated else out
 
 
 def diagonal(states: IndexSet) -> PairSet:

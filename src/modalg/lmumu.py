@@ -6,17 +6,20 @@ State formulas are the lifted algebra read on states: bot, set variables
 (SetVar), or (Or) and mu (Lfp) are flat's classes, flat._eval evaluates
 them, and this module declares only the state-only nodes.
 
-<a> phi and [a] phi are evaluated by preimage, `pre(a, X)`, and
-reachability by the forward image, `post(a, X)`. Both read a process in its
-action normal form where it has one (`action_form`: actions, tests, their
-intersections and projections denote {(i, j) : j in ext, i = j off out}),
-and follow union, composition, counting, reverse, selections on inputs or
-outputs and stars (`mu Z . diag | Z ; b`, iterated on state sets) down to
-state sets without building pairs; pre also follows dn/neg, post up. Every
-other operator goes through one fallback per direction, which builds a's
-pairs (dynamic._eval_dyn) and takes their preimage or their targets. State
-fixed points share flat.EvalContext.fixpoint: `mu X . goal | <a> X` is
-linear in X and iterated on each round's new states only.
+<a> phi and [a] phi are evaluated by the backward image of a state set,
+`image(a, X, 0)`, and reachability by the forward one, `image(a, X, 1)`
+(0 = source, 1 = target, as in indexsets.restrict and dynamic.select_side).
+The image reads a process in its action normal form where it has one
+(`action_form`: actions, tests, their intersections and projections denote
+{(i, j) : j in ext, i = j off out}), and follows union, composition,
+counting, reverse, selections on inputs or outputs, stars (`mu Z . diag |
+Z ; b`, iterated on state sets) and the diagonals towards its side (dn/neg
+backward, up forward) down to state sets without building pairs; only the
+form rule, composition's order, selections and the diagonals read the side.
+Every other operator goes through one fallback, which builds a's pairs
+(dynamic._eval_dyn) and takes their image (indexsets.image). State fixed
+points share flat.EvalContext.fixpoint: `mu X . goal | <a> X` is linear in X
+and iterated on each round's new states only.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union as TUnion
 
-from . import dynamic
+from . import dynamic, indexsets
 from .core import Structure, StructureSet, Universe, Valuation
 from .errors import UnsafeRule
 # the operators shared with the flat algebra, re-exported under their state names
 from .flat import Bottom, Lfp, ModuleVar as SetVar, Union as Or
 from .flat import EvalContext, EvalStats, ProcExpr, StateExpr, _eval, _named, _select_filter
-from .indexsets import IndexSet, preimage, restrict, targets
+from .indexsets import IndexSet
 from .syntax import map_children, walk
 
 
@@ -145,15 +148,16 @@ def _star_step(a: ProcExpr) -> Optional[ProcExpr]:
     return None
 
 
-def _star(image, a: ProcExpr, b: ProcExpr, ctx: EvalContext, val: Valuation,
-          states: IndexSet) -> IndexSet:
+def _star(a: ProcExpr, b: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet,
+          side: int) -> IndexSet:
     """image(b*, X) = mu Y . X | image(b, Y) for a = b*, in a's fixpoint
     loop: on each round's new states, its rounds recorded under a's label."""
-    return ctx.iterate(a, lambda delta: states.union(image(b, ctx, val, delta)),
+    return ctx.iterate(a, lambda delta: states.union(image(b, ctx, val, delta, side)),
                        IndexSet(ctx.universe.size))
 
 
-def _count(image, a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
+def _count(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet,
+           side: int) -> IndexSet:
     """The union of image^k(X) for k = low..high, where image^k(X) is the
     image under a.inner's k-th power. The body is applied even when
     high = 0, so its errors and statistics are eval_dyn's. It stops once an
@@ -162,7 +166,7 @@ def _count(image, a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSe
     taken = {states} if a.low == 0 else set()
     acc = states if a.low == 0 else IndexSet(ctx.universe.size)
     for k in range(1, max(a.high, 1) + 1):
-        states = image(a.inner, ctx, val, states)
+        states = image(a.inner, ctx, val, states, side)
         if a.low <= k <= a.high:
             if states in taken:
                 break
@@ -172,94 +176,48 @@ def _count(image, a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSe
 
 
 @_named
-def pre(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
-    """{i : (i, j) in a for some j in states}: all that <a> and [a] need of a.
+def image(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet,
+          side: int) -> IndexSet:
+    """{i : (i, j) in a for some j in states} for side 0 (backward: all that
+    <a> and [a] need of a), {j : (i, j) in a for some i in states} for
+    side 1 (forward: all that reach needs).
 
-    Action forms, union, composition, counting, dn/neg, input or output
-    selections, reverse and stars are followed down to state sets, with no
-    pair built (Burch, Clarke, McMillan et al., LICS 1990); every other
-    operator goes through the one fallback, _pre_by_pairs.
+    The operators the module docstring lists are followed with no pair built
+    (Burch, Clarke, McMillan et al., LICS 1990). The others (pair-level
+    Complement and Project of what is not an action form, feedback Select,
+    TestEq/TestNeq, the diagonals away from the side, ModuleVar, Lfp other
+    than a star) go through the one fallback: a's pairs, then their image.
     """
     D = dynamic
     form = action_form(a, ctx, val)
     if form is not None:
         ext, out = form
-        return ext.intersection(states).project(out)
-    if isinstance(a, D.Union):
-        return pre(a.left, ctx, val, states).union(pre(a.right, ctx, val, states))
-    if isinstance(a, D.Compose):
-        return pre(a.left, ctx, val, pre(a.right, ctx, val, states))
-    if isinstance(a, D.Count):
-        return _count(pre, a, ctx, val, states)
-    if isinstance(a, (D.Down, D.UnaryNeg)):
-        has_step = pre(a.inner, ctx, val, IndexSet.full(ctx.universe.size))
-        return (has_step if isinstance(a, D.Down) else has_step.complement()).intersection(states)
-    if isinstance(a, D.Reverse):
-        return pre(D.flip_actions(a.inner), ctx, val, states)
-    if isinstance(a, D.Select):
-        side = D.select_side(a)
-        if side is not None:
-            keep = _select_filter(a.left, a.right, val, ctx.universe)
-            if side == 0:
-                return pre(a.inner, ctx, val, states).intersection(keep)
-            return pre(a.inner, ctx, val, states.intersection(keep))
-    b = _star_step(a)
-    if b is not None:
-        return _star(pre, a, b, ctx, val, states)
-    return _pre_by_pairs(a, ctx, val, states)
-
-
-def _pre_by_pairs(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
-    """The fallback of pre: a's pairs, then their preimage. Taken by
-    pair-level Complement and Project of what is not an action form,
-    feedback Select, TestEq/TestNeq, Up, ModuleVar and Lfp other than a
-    star."""
-    return preimage(dynamic._eval_dyn(a, ctx, val), states)
-
-
-@_named
-def post(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
-    """{j : (i, j) in a for some i in states}: all that reach needs of a.
-
-    pre's mirror image, rule by rule: action forms, union, composition,
-    counting, up, input or output selections, reverse and stars are
-    followed forward with no pair built; every other operator goes through
-    the one fallback, _post_by_pairs.
-    """
-    D = dynamic
-    form = action_form(a, ctx, val)
-    if form is not None:
-        ext, out = form
+        if side == 0:
+            return ext.intersection(states).project(out)
         return ext.intersection(states.project(out))
     if isinstance(a, D.Union):
-        return post(a.left, ctx, val, states).union(post(a.right, ctx, val, states))
+        return image(a.left, ctx, val, states, side).union(image(a.right, ctx, val, states, side))
     if isinstance(a, D.Compose):
-        return post(a.right, ctx, val, post(a.left, ctx, val, states))
+        first, then = (a.right, a.left) if side == 0 else (a.left, a.right)
+        return image(then, ctx, val, image(first, ctx, val, states, side), side)
     if isinstance(a, D.Count):
-        return _count(post, a, ctx, val, states)
-    if isinstance(a, D.Up):
-        return post(a.inner, ctx, val, IndexSet.full(ctx.universe.size)).intersection(states)
+        return _count(a, ctx, val, states, side)
+    if isinstance(a, (D.Down, D.UnaryNeg, D.Up)) and isinstance(a, D.Up) == side:
+        ends = image(a.inner, ctx, val, IndexSet.full(ctx.universe.size), side)
+        return (ends.complement() if isinstance(a, D.UnaryNeg) else ends).intersection(states)
     if isinstance(a, D.Reverse):
-        return post(D.flip_actions(a.inner), ctx, val, states)
+        return image(D.flip_actions(a.inner), ctx, val, states, side)
     if isinstance(a, D.Select):
-        side = D.select_side(a)
-        if side is not None:
+        selected = D.select_side(a)
+        if selected is not None:
             keep = _select_filter(a.left, a.right, val, ctx.universe)
-            if side == 0:
-                return post(a.inner, ctx, val, states.intersection(keep))
-            return post(a.inner, ctx, val, states).intersection(keep)
+            if selected == side:
+                return image(a.inner, ctx, val, states, side).intersection(keep)
+            return image(a.inner, ctx, val, states.intersection(keep), side)
     b = _star_step(a)
     if b is not None:
-        return _star(post, a, b, ctx, val, states)
-    return _post_by_pairs(a, ctx, val, states)
-
-
-def _post_by_pairs(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet) -> IndexSet:
-    """The fallback of post: a's pairs from states, then their targets.
-    Taken by pair-level Complement and Project of what is not an action
-    form, feedback Select, TestEq/TestNeq, Down, UnaryNeg, ModuleVar and
-    Lfp other than a star."""
-    return targets(restrict(dynamic._eval_dyn(a, ctx, val), states, 0))
+        return _star(a, b, ctx, val, states, side)
+    return indexsets.image(dynamic._eval_dyn(a, ctx, val), states, side)
 
 
 # ---------------------------------------------------------------------------

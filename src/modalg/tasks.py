@@ -628,9 +628,9 @@ def reach(
     """Is there an a-labelled edge from the state to a goal-satisfying state?
 
     The goal is a conjunction of constant tests on designated variables. It
-    is met by a's forward image of the state (lmumu.post), which builds no
-    pair for the operators post follows; temporal model checking answers
-    the same question backward, by preimage.
+    is met by a's forward image of the state (lmumu.image, side 1), which
+    builds no pair for the operators the image follows; temporal model
+    checking answers the same question backward (side 0).
     """
     return _reach(a, structure, goal, valuation, flat.EvalContext(universe))
 
@@ -647,7 +647,7 @@ def _reach(
     goal_states = values_index_set(
         u, {valuation.symbol(var): value for var, value in goal.items()}
     )
-    return bool(lmumu.post(a, ctx, valuation, source).intersection(goal_states))
+    return bool(lmumu.image(a, ctx, valuation, source, 1).intersection(goal_states))
 
 
 # ---------------------------------------------------------------------------

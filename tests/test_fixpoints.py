@@ -203,11 +203,11 @@ def test_non_monotone_body_refused(pq, sort):
 
 
 def test_closed_process_under_modality_built_once(monkeypatch):
-    # <p ; step> X in a state fixpoint, p closed. A star is followed by pre
-    # as a fixpoint of state sets and builds no pairs. A closed process pre
-    # hands to its pair fallback in every round, here the mirrored star
-    # mu Z . diag | copy ; Z, is iterated once (one composition per round of
-    # its own) and its diagonal and action are built once.
+    # <p ; step> X in a state fixpoint, p closed. A star is followed by the
+    # image as a fixpoint of state sets and builds no pairs. A closed process
+    # the image hands to its pair fallback in every round, here the mirrored
+    # star mu Z . diag | copy ; Z, is iterated once (one composition per
+    # round of its own) and its diagonal and action are built once.
     u, val, _ = _chain_setup()
     copy_pq = D.Action("Copy", ("P", "Q"), frozenset({"P"}), frozenset({"Q"}))
     step = D.Action("Copy", ("Q", "R"), frozenset({"Q"}), frozenset({"R"}))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -130,6 +131,56 @@ class TestEvalFlat:
         e = F.intersect(F.Atom("FullP", ("P0",)), F.Atom("EmptyQ", ("Q0",)))
         with pytest.raises(WellformednessError):
             eval_flat(e, squashed, u)
+
+
+def _operand_tuples(op, structure):
+    return structure.rel(op.name).tuples if isinstance(op, Var) else op.tuples
+
+
+# (left, right) of every operand shape, over {a,b} with P/1, R/1, Q/2
+SELECT_SHAPES = [
+    (Var("P"), Var("P")),  # the same symbol on both sides
+    (Var("P"), Var("R")),
+    (Var("P"), Var("Q")),  # two arities: equal only when both are empty
+    (Var("Q"), Var("P")),
+    (Var("P"), Const.of([])),  # '{}', its arity taken from the symbol
+    (Const.of([]), Var("Q")),
+    (Var("P"), Const.of([("a",)])),
+    (Const.of([("a", "b"), ("b", "b")]), Var("Q")),
+    (Var("P"), Const.of([("a", "b")])),  # a constant of another arity
+    (Var("P"), Const(frozenset(), 2)),
+    (Var("P"), Const.of([("c",)])),  # off the domain
+    (Const.of([("a",)]), Const.of([("a",)])),
+    (Const.of([("a",)]), Const.of([("b",)])),
+    (Const.of([]), Const.of([])),
+]
+
+
+@pytest.mark.parametrize("left,right", SELECT_SHAPES, ids=lambda op: str(op))
+def test_select_filter_matches_brute_force(left, right):
+    """The selection filter is the set of structures whose two operands
+    denote the same tuples, decoded structure by structure."""
+    domain = Domain(("a", "b"))
+    u = build_universe(domain, Vocabulary((("P", 1), ("R", 1), ("Q", 2))))
+    got = F._select_filter(left, right, Valuation(domain, {}, {}), u)
+    want = {i for i in range(u.size)
+            if _operand_tuples(left, u.structure_at(i)) == _operand_tuples(right, u.structure_at(i))}
+    assert set(got.indices()) == want
+
+
+def test_select_filter_two_binary_symbols():
+    """P == Q for two binary symbols over {a,b,c}: 512 of 2^18 structures,
+    one per value, found without decoding the 2^18 slot patterns."""
+    domain = Domain(("a", "b", "c"))
+    u = build_universe(domain, Vocabulary((("P", 2), ("Q", 2))))
+    began = time.perf_counter()
+    got = F._select_filter(Var("P"), Var("Q"), Valuation(domain, {}, {}), u)
+    assert time.perf_counter() - began < 0.5
+    assert len(got) == 512
+    rng = random.Random(5)
+    for i in list(got.indices()) + rng.sample(range(u.size), 500):
+        structure = u.structure_at(i)
+        assert (i in got) == (structure.rel("P").tuples == structure.rel("Q").tuples)
 
 
 class TestInvariants:

@@ -1,6 +1,6 @@
-"""Images of state sets under a process, without its pairs: lmumu.pre
-(backward, for <a> and [a]) and lmumu.post (forward, for reach) against the
-pairs eval_dyn builds, the action normal form against its pairs, and the
+"""Images of state sets under a process, without its pairs: lmumu.image,
+backward (side 0, for <a> and [a]) and forward (side 1, for reach), against
+the pairs eval_dyn builds, the action normal form against its pairs, and the
 tasks that use the images: they build no pair where the images follow the
 process, and answer at the default 2^20 cap."""
 
@@ -27,7 +27,7 @@ from modalg.core import (
 )
 from modalg.errors import CapExceeded, IllegalSelect, ModalgError
 from modalg.flat import Const, EvalContext, Var, intersect
-from modalg.indexsets import IndexSet, inertia, preimage
+from modalg.indexsets import IndexSet, inertia
 from modalg.parser import parse_spec
 from modalg.printer import to_text
 from modalg.syntax import walk
@@ -65,7 +65,9 @@ SETUPS = {
             [("FullP", ("P",)), ("EmptyQ", ("Q",)), ("NonemptyP", ("P",)), ("Copy", ("P", "Q"))],
             [frozenset({"Q"}), frozenset({"P", "Q"})], (Var("P"), Const.of([("a",)])),
             [D.Count(FILL_THEN_COPY, 1, 2), D.Count(FILL_THEN_COPY, 0, 3),
-             D.Project(frozenset({"Q"}), intersect(COPY_PQ, D.Test("NonemptyP", ("P",))))],
+             D.Project(frozenset({"Q"}), intersect(COPY_PQ, D.Test("NonemptyP", ("P",)))),
+             # the diagonals a forward image hands to its fallback
+             D.Compose(D.Down(COPY_PQ), D.UnaryNeg(D.Test("NonemptyP", ("P",))))],
             15, 2),
     "circuit": (_circuit_setup,
                 [("HC", ("V", "X", "X")), ("TwoCol", ("V", "X", "Z", "T"))],
@@ -109,17 +111,29 @@ def random_image_proc(rng, atoms, keeps, select, depth):
     return D.Select(*select, sub())
 
 
-def _post_of_pairs(pairs, n, sources):
-    """{j : (i, j) in pairs for some i in sources}, from the stored codes
-    (i * n + j) of a plain or complemented pair set."""
+def _image_of_pairs(pairs, n, states, side):
+    """{i : (i, j) in pairs, j in states} (side 0) or {j : (i, j) in pairs,
+    i in states} (side 1), from the stored codes (i * n + j) of a plain or
+    complemented pair set."""
+    def ends(c):  # (the tested component, the collected one)
+        return (c % n, c // n) if side == 0 else (c // n, c % n)
+
     if not pairs.negated:
-        return {c % n for c in pairs.members if c // n in sources}
-    removed = Counter(c % n for c in pairs.members if c // n in sources)
-    return {j for j in range(n) if removed[j] < len(sources)}
+        return {ends(c)[1] for c in pairs.members if ends(c)[0] in states}
+    removed = Counter(ends(c)[1] for c in pairs.members if ends(c)[0] in states)
+    return {k for k in range(n) if removed[k] < len(states)}
 
 
-def _raise(*args):
-    raise AssertionError("called across directions")
+def _one_side(patch, side):
+    """Wrap S.image so that a call for the other side raises."""
+    image = S.image
+
+    def guarded(a, ctx, val, states, asked):
+        if asked != side:
+            raise AssertionError("called across directions")
+        return image(a, ctx, val, states, asked)
+
+    patch.setattr(S, "image", guarded)
 
 
 @pytest.mark.parametrize("name", sorted(SETUPS))
@@ -141,20 +155,18 @@ def test_images_match_pairs(monkeypatch, name):
             continue  # too many pairs for the reference
         except ModalgError as exc:  # an illegal selection
             with pytest.raises(type(exc)):
-                S.pre(a, ctx, val, IndexSet.full(n))
+                S.image(a, ctx, val, IndexSet.full(n), 0)
             continue
         checked += 1
         kinds.update(type(node) for node in walk(a, within_sort=True))
-        for sources in (rng.sample(range(n), 1), [i for i in range(n) if rng.random() < 0.2]):
-            states = IndexSet(n, sources)
-            with monkeypatch.context() as patch:
-                patch.setattr(S, "post", _raise)
-                got = S.pre(a, ctx, val, states)
-            assert got == preimage(pairs, states), to_text(a)
-            with monkeypatch.context() as patch:
-                patch.setattr(S, "pre", _raise)
-                got = S.post(a, ctx, val, states)
-            assert set(got.indices()) == _post_of_pairs(pairs, n, set(sources)), to_text(a)
+        for members in (rng.sample(range(n), 1), [i for i in range(n) if rng.random() < 0.2]):
+            states = IndexSet(n, members)
+            for side in (0, 1):
+                with monkeypatch.context() as patch:
+                    _one_side(patch, side)
+                    got = S.image(a, ctx, val, states, side)
+                want = _image_of_pairs(pairs, n, set(members), side)
+                assert set(got.indices()) == want, (side, to_text(a))
         for node in walk(a, within_sort=True):
             form = S.action_form(node, ctx, val)
             if form is None:
@@ -228,8 +240,8 @@ def test_equivalence_check_builds_no_pairs(monkeypatch):
 
 
 def test_reach_forward_modalities_backward(monkeypatch):
-    """reach never calls pre, and the modalities never call post, so
-    equivalence_check's REACH and temp-MC rows stay independent."""
+    """reach takes only forward images, and the modalities only backward
+    ones, so equivalence_check's REACH and temp-MC rows stay independent."""
     domain, vocab, val = three_element_setup()
     u = build_universe(domain, vocab)
     rng = random.Random(3)
@@ -239,10 +251,10 @@ def test_reach_forward_modalities_backward(monkeypatch):
         a = D.kleene_star(random_image_proc(rng, *SETUPS["abc"][1:4], 2))
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(S, "pre", _raise)
+                _one_side(patch, 1)
                 forward = reach(a, start, {"P": unary("abc")}, val, u)
             with monkeypatch.context() as patch:
-                patch.setattr(S, "post", _raise)
+                _one_side(patch, 0)
                 backward = temp_mc(S.Diamond(a, S.Prop("FullP", ("P",))), start, val, u)
                 S.eval_state(S.Box(a, S.Prop("FullP", ("P",))), val, u)
         except IllegalSelect:
@@ -250,6 +262,22 @@ def test_reach_forward_modalities_backward(monkeypatch):
         assert forward == backward, to_text(a)
         checked += 1
     assert checked >= 8
+
+
+@pytest.mark.parametrize("step", [
+    D.Complement(D.TestNeq(D.Compose(D.Test("FullP", ("P",)), D.Test("NonemptyP", ("P",))))),
+    D.Complement(D.Project(frozenset({"P"}), D.Bottom())),
+], ids=["complemented-testneq", "complemented-projection"])
+def test_reach_through_complemented_pairs(step):
+    """A star whose step falls back to a complemented pair set: its forward
+    image counts the removed pairs per target, as the backward one counts
+    them per source, instead of listing every pair from the states reached
+    (16,773,120 of the 2^24 pairs)."""
+    domain, vocab, val = three_element_setup()
+    u = build_universe(domain, vocab)
+    a, start = D.kleene_star(step), u.structure_at(5)
+    assert reach(a, start, {"P": unary("abc")}, val, u) is True
+    assert temp_mc(S.Diamond(a, S.Prop("FullP", ("P",))), start, val, u) is True
 
 
 def test_star_at_the_cap():

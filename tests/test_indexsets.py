@@ -13,12 +13,10 @@ from modalg.indexsets import (
     compose,
     cylinder,
     diagonal,
+    image,
     inertia,
-    preimage,
     restrict,
-    sources,
     submasks,
-    targets,
 )
 
 
@@ -124,11 +122,14 @@ def test_state_and_pair_operations_match_set_model():
                 (i, j) for j in model(s) for i in range(N) if i & ~free == j & ~free}
     for s in states:
         assert pair_model(diagonal(s)) == {(i, i) for i in model(s)}
+    full = IndexSet.full(N)
     for p in pairs:
-        assert model(sources(p)) == {i for i, _ in pair_model(p)}
-        assert model(targets(p)) == {j for _, j in pair_model(p)}
+        # from every state: the sources (side 0) and the targets (side 1)
+        assert model(image(p, full, 0)) == {i for i, _ in pair_model(p)}
+        assert model(image(p, full, 1)) == {j for _, j in pair_model(p)}
         for s in states:
-            assert model(preimage(p, s)) == {i for i, j in pair_model(p) if j in model(s)}
+            assert model(image(p, s, 0)) == {i for i, j in pair_model(p) if j in model(s)}
+            assert model(image(p, s, 1)) == {j for i, j in pair_model(p) if i in model(s)}
             for side in (0, 1):
                 assert pair_model(restrict(p, s, side)) == {
                     pair for pair in pair_model(p) if pair[side] in model(s)

@@ -3,12 +3,11 @@
 Every other module goes through the methods of IndexSet (state sets) and
 PairSet (pair sets) and the operations next to them; none reads a state
 set's bitmap, a pair set's stored members or complement flag, or enforces
-the budget itself. `submasks` is used outside indexsets.py only to
-enumerate slot patterns for a selection.
+the budget itself, and none lists the submasks of a bitmask.
 
 The atom rule and the task layer's choice of search are likewise in one
-function each, and the images of a process fall back to pair sets in one
-function per direction.
+function each, and the image of a state set under a process, in either
+direction, falls back to pair sets in one function.
 """
 
 import ast
@@ -17,12 +16,12 @@ from pathlib import Path
 import modalg
 
 SOURCES = sorted(Path(modalg.__file__).parent.glob("*.py"))
-SUBMASK_USERS = {("flat.py", "_select_filter")}
 
 
 def _uses(path):
     """(kind, name, enclosing function) for every attribute read, name and
-    imported name."""
+    imported name; an attribute of a plain name is also listed qualified,
+    `module.attribute`."""
     out = []
 
     def visit(node, function):
@@ -30,6 +29,8 @@ def _uses(path):
             function = node.name
         if isinstance(node, ast.Attribute):
             out.append(("attribute", node.attr, function))
+            if isinstance(node.value, ast.Name):
+                out.append(("qualified", f"{node.value.id}.{node.attr}", function))
         elif isinstance(node, ast.Name):
             out.append(("name", node.id, function))
         elif isinstance(node, ast.alias):
@@ -50,11 +51,8 @@ def test_representation_confined_to_indexsets():
         for kind, name, function in _uses(path):
             if kind == "attribute" and name in ("bitmap", "negated", "members"):
                 leaks.append((path.name, function, name))
-            elif name == "MATERIALIZE_LIMIT":
+            elif name in ("MATERIALIZE_LIMIT", "submasks"):
                 leaks.append((path.name, function, name))
-            elif name == "submasks" and function is not None:
-                if (path.name, function) not in SUBMASK_USERS:
-                    leaks.append((path.name, function, name))
     assert leaks == []
 
 
@@ -80,22 +78,42 @@ def test_one_model_search_fork():
     assert len(forks) == 1, forks
 
 
+def _source(name):
+    return next(path for path in SOURCES if path.name == name)
+
+
+def _imported_names(path):
+    """(module, name) for every `from module import name`."""
+    return {(node.module.split(".")[-1], alias.name)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module
+            for alias in node.names}
+
+
 def test_one_pair_fallback_for_modalities():
-    """Diamonds and boxes go through lmumu.pre, reachability through
-    lmumu.post; a process's pairs are built for them only in one fallback
-    per direction, which takes their preimage or their targets. The task
-    layer builds no pairs itself."""
-    backward, forward = ("lmumu.py", "_pre_by_pairs"), ("lmumu.py", "_post_by_pairs")
-    preimage_users = {
-        (path.name, function)
-        for path in SOURCES if path.name != "indexsets.py"
-        for function in _functions_using(path, "preimage")
-    }
-    assert preimage_users == {backward}
-    lmumu = next(path for path in SOURCES if path.name == "lmumu.py")
-    assert {("lmumu.py", f) for f in _functions_using(lmumu, "_eval_dyn")} == {backward, forward}
-    assert {("lmumu.py", f) for f in _functions_using(lmumu, "targets")} == {forward}
-    tasks = next(path for path in SOURCES if path.name == "tasks.py")
+    """Diamonds, boxes and reachability go through lmumu.image, one function
+    for both directions; a process's pairs are built for it only in its one
+    fallback, which takes their image. Outside indexsets.py the pair-set
+    image serves only that fallback and dynamic's dn/up/neg. The task layer
+    builds no pairs itself."""
+    from modalg import indexsets, lmumu
+
+    gone = ("pre", "post", "_pre_by_pairs", "_post_by_pairs")
+    assert not [name for name in gone if hasattr(lmumu, name)]
+    assert not [name for name in ("preimage", "sources", "targets", "_image")
+                if hasattr(indexsets, name)]
+    assert _functions_using(_source("lmumu.py"), "_eval_dyn") == {"image"}
+    image_users = set()
+    for path in SOURCES:
+        if path.name == "indexsets.py":
+            continue
+        image_users |= {(path.name, f) for f in _functions_using(path, "indexsets.image")}
+        if ("indexsets", "image") in _imported_names(path):
+            image_users |= {(path.name, f) for f in _functions_using(path, "image")}
+    assert image_users == {("lmumu.py", "image"), ("dynamic.py", "_eval_dyn_inner")}
+    assert not {name for _, name, _ in _uses(_source("lmumu.py"))} & {
+        "restrict", "targets", "preimage"}
+    tasks = _source("tasks.py")
     assert not _functions_using(tasks, "eval_dyn") | _functions_using(tasks, "_eval_dyn")
 
 

@@ -1,6 +1,7 @@
-"""Modalities by preimage: <a> and [a] evaluated through lmumu.pre agree
-with the image of a's pairs, for every process operator, the ones pre
-follows without pairs and the ones it hands to its pair fallback alike."""
+"""Modalities by backward image: <a> and [a] evaluated through lmumu.image
+(side 0) agree with the image of a's pairs, for every process operator, the
+ones the image follows without pairs and the ones it hands to its pair
+fallback alike."""
 
 import random
 from collections import Counter
@@ -65,7 +66,7 @@ def test_diamond_and_box_match_image_of_pairs(pq, name):
         try:
             pairs = eval_dyn(a, val, u).iset
         except CapExceeded:
-            continue  # too many pairs for the reference; pre may not need them
+            continue  # too many pairs for the reference; the image may not need them
         except ModalgError as exc:  # an illegal selection, a non-monotone body
             with pytest.raises(type(exc)):
                 eval_state(S.Diamond(a, S.Prop("FullP", ("P",))), val, u)
