@@ -8,19 +8,22 @@ information propagation is on the atoms alone (Action's inputs and
 outputs). This module declares only the process-only nodes. A state test
 evaluates its formula with flat._eval, the one evaluator of state sets.
 
-Edge sets are possibly-complemented pair sets (see indexsets), so complement
-costs nothing and the intersection sugar -(-a | -b) stays sparse. eval_dyn
-and build_transition_system build the pairs of every subterm. The modalities
-of the state logic and tasks.reach do not: they follow a process by one
-image function of state sets, lmumu.image, backward (side 0, the sources)
-or forward (side 1, the targets), reading actions, tests and their
-intersections and projections in action normal form and stars as fixed
-points of state sets, and come here only for the operators the image cannot
-follow. dn, up and neg take the same image of their operand's pairs, from
-every state (indexsets.image). Binary fixed points run in the shared loop
-of flat.EvalContext.fixpoint: semi-naive for a body linear in its variable
-(a star's `diag | Z ; a` composes only each round's new pairs), with the
-body's closed subterms (the star's `diag` and `a`) built once.
+Actions, tests, and their intersections and projections denote
+{(i, j) : j in ext, i agrees with j off out}: action_form reads this action
+normal form, the atom rule of both process evaluators. Edge sets are
+possibly-complemented pair sets (see indexsets), so complement costs
+nothing. eval_dyn and build_transition_system build the pairs of every
+subterm with no form, and a form's with one inertia(ext, out). The
+modalities of the state logic and tasks.reach build no pairs where they can:
+they follow a process by one image function of state sets, lmumu.image,
+backward (side 0, the sources) or forward (side 1, the targets), reading
+forms and stars as fixed points of state sets, and come here only for the
+operators the image cannot follow. dn, up and neg take the same image of
+their operand's pairs, from every state (indexsets.image). Binary fixed
+points run in the shared loop of flat.EvalContext.fixpoint: semi-naive for
+a body linear in its variable (a star's `diag | Z ; a` composes only each
+round's new pairs), with the body's closed subterms (the star's `diag` and
+`a`) built once.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .indexsets import (
     IndexSet,
     PairSet,
     compose,
-    diagonal,
     image,
     inertia,
     restrict,
@@ -324,14 +326,11 @@ def _eval_dyn(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
 
 @_evaluator
 def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
+    form = action_form(a, ctx, val)
+    if form is not None:
+        return inertia(*form)
     u = ctx.universe
     n = u.size
-    if isinstance(a, Bottom):
-        return PairSet(n * n)
-    if isinstance(a, TESTS):
-        return diagonal(diagonal_states(a, ctx, val))
-    if isinstance(a, Action):
-        return inertia(ctx.extension(a, val), u.mask({val.symbol(arg) for arg in a.outputs}))
     if isinstance(a, ModuleVar):
         value = val.env.get(a.name)
         if not isinstance(value, EdgeSet):
@@ -352,12 +351,12 @@ def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
     if isinstance(a, (Down, Up, UnaryNeg)):
         # the sources of a.inner's pairs (dn, neg), or their targets (up)
         ends = image(_eval_dyn(a.inner, ctx, val), IndexSet.full(n), int(isinstance(a, Up)))
-        return diagonal(ends.complement() if isinstance(a, UnaryNeg) else ends)
+        return inertia(ends.complement() if isinstance(a, UnaryNeg) else ends, 0)
     if isinstance(a, Compose):
         return compose(_eval_dyn(a.left, ctx, val), _eval_dyn(a.right, ctx, val))
     if isinstance(a, Count):
         inner = _eval_dyn(a.inner, ctx, val)
-        power = diagonal(IndexSet.full(n))
+        power = inertia(IndexSet.full(n), 0)
         for _ in range(a.low):
             power = compose(power, inner)
         acc = power
@@ -368,28 +367,60 @@ def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
     if isinstance(a, Reverse):
         return _eval_dyn(flip_actions(a.inner), ctx, val)
     if isinstance(a, TestEq):
-        return _eval_dyn(a.inner, ctx, val).intersection(diagonal(IndexSet.full(n)))
+        return _eval_dyn(a.inner, ctx, val).intersection(inertia(IndexSet.full(n), 0))
     if isinstance(a, TestNeq):
-        return _eval_dyn(a.inner, ctx, val).intersection(diagonal(IndexSet.full(n)).complement())
+        return _eval_dyn(a.inner, ctx, val).difference(inertia(IndexSet.full(n), 0))
     raise TypeError(f"not a process expression: {a!r}")
 
 
-# The tests: their pairs are {(i, i) : i in diagonal_states(test)}.
-TESTS = (Test, Diagonal, ConstTest, StateTest)
+def _has_form(a: ProcExpr) -> bool:
+    """Whether a has an action normal form, read from its syntax alone."""
+    if isinstance(a, Project):
+        return _has_form(a.inner)
+    if isinstance(a, Complement):
+        both = a.inner
+        return (isinstance(both, Union) and isinstance(both.left, Complement)
+                and isinstance(both.right, Complement)
+                and _has_form(both.left.inner) and _has_form(both.right.inner))
+    return isinstance(a, (Bottom, Action, Test, Diagonal, ConstTest, StateTest))
 
 
-def diagonal_states(a: ProcExpr, ctx: EvalContext, val: Valuation) -> IndexSet:
-    """The states a test (one of TESTS) holds on."""
+def action_form(a: ProcExpr, ctx: EvalContext, val: Valuation) -> Optional[tuple[IndexSet, int]]:
+    """(ext, out) when a denotes {(i, j) : j in ext, i agrees with j off the
+    bits of out}, else None: a's action normal form, the atom rule of both
+    process evaluators (eval_dyn builds its pairs, inertia(ext, out);
+    lmumu.image takes its images without them).
+
+    Whether a has a form is decided from its syntax before anything is
+    evaluated. An action's out is its output bits; a test, diag and bot
+    change nothing, out = 0. The intersection -(-a | -b) of two forms is
+    one, as is a projection keeping K of one: it forgets ext off K and lets
+    i differ from j there.
+    """
+    if not _has_form(a):
+        return None
     u = ctx.universe
+    if isinstance(a, Action):
+        return ctx.extension(a, val), u.mask({val.symbol(arg) for arg in a.outputs})
     if isinstance(a, Test):
-        return ctx.extension(a, val)
+        return ctx.extension(a, val), 0
     if isinstance(a, Diagonal):
-        return IndexSet.full(u.size)
+        return IndexSet.full(u.size), 0
+    if isinstance(a, Bottom):
+        return IndexSet(u.size), 0
     if isinstance(a, ConstTest):
         sym = val.symbol(a.var)
         states = values_index_set(u, {sym: a.value.value(u.vocabulary.arity(sym))})
-        return states if a.equal else states.complement()
-    return _eval(a.phi, ctx, val)
+        return (states if a.equal else states.complement()), 0
+    if isinstance(a, StateTest):
+        return _eval(a.phi, ctx, val), 0
+    if isinstance(a, Project):
+        ext, out = action_form(a.inner, ctx, val)
+        off = u.full_mask & ~u.mask(val.symbol(v) for v in a.keep)
+        return ext.project(off), out | off
+    (left, left_out), (right, right_out) = (
+        action_form(b.inner, ctx, val) for b in (a.inner.left, a.inner.right))
+    return left.intersection(right), left_out & right_out
 
 
 def select_side(a: Select) -> Optional[int]:

@@ -248,8 +248,10 @@ def cylinder(space: int, keys: Iterable[int], free_mask: int) -> IndexSet:
 def _pair_cylinder(space: int, keys: Collection[int], free_mask: int) -> PairSet:
     """The sparse cylinder, refused by its would-be size before enumerating."""
     _check_size(len(keys) << free_mask.bit_count(), space)
-    subs = list(submasks(free_mask)) if keys else []
-    return PairSet(space, [k | f for k in keys for f in subs])
+    if keys and free_mask:  # with no free bit, the keys are the members
+        subs = list(submasks(free_mask))
+        keys = [k | f for k in keys for f in subs]
+    return PairSet(space, keys)
 
 
 def _classes(codes: Iterable[int], negated: bool, keep_mask: int, class_size: int) -> set[int]:
@@ -285,12 +287,6 @@ def image(pairs: PairSet, states: IndexSet, side: int) -> IndexSet:
     return out.complement() if pairs.negated else out
 
 
-def diagonal(states: IndexSet) -> PairSet:
-    """{(i, i) : i in states}, over the pair space of the states' space."""
-    bits = states.space.bit_length() - 1
-    return PairSet(states.space << bits, [(i << bits) | i for i in states.indices()])
-
-
 def restrict(pairs: PairSet, states: IndexSet, side: int) -> PairSet:
     """Pairs whose side-th component (0 = source, 1 = target) lies in states."""
     bits = _half_bits(pairs.space)
@@ -300,9 +296,11 @@ def restrict(pairs: PairSet, states: IndexSet, side: int) -> PairSet:
         view = states._bytes()
         return PairSet(pairs.space, [c for c in pairs.members
                                      if view[(i := c >> shift & low) >> 3] >> (i & 7) & 1])
-    # complemented: every pair with that side in states, less the removed ones
-    keys = [s << shift for s in states.indices()]
-    return _pair_cylinder(pairs.space, keys, low << (bits - shift)).intersection(pairs)
+    # complemented: the cylinder of the smaller of states and its complement,
+    # kept (intersection) or taken away (difference)
+    small = states if len(states) << 1 <= states.space else states.complement()
+    cyl = _pair_cylinder(pairs.space, [s << shift for s in small.indices()], low << (bits - shift))
+    return pairs.intersection(cyl) if small is states else pairs.difference(cyl)
 
 
 def inertia(ext: IndexSet, free_mask: int) -> PairSet:

@@ -10,12 +10,12 @@ them, and this module declares only the state-only nodes.
 `image(a, X, 0)`, and reachability by the forward one, `image(a, X, 1)`
 (0 = source, 1 = target, as in indexsets.restrict and dynamic.select_side).
 The image reads a process in its action normal form where it has one
-(`action_form`: actions, tests, their intersections and projections denote
-{(i, j) : j in ext, i = j off out}), and follows union, composition,
-counting, reverse, selections on inputs or outputs, stars (`mu Z . diag |
-Z ; b`, iterated on state sets) and the diagonals towards its side (dn/neg
-backward, up forward) down to state sets without building pairs; only the
-form rule, composition's order, selections and the diagonals read the side.
+(dynamic.action_form, eval_dyn's atom rule too), and follows union,
+composition, counting, reverse, selections on inputs or outputs, stars
+(`mu Z . diag | Z ; b`, iterated on state sets) and the diagonals towards
+its side (dn/neg backward, up forward) down to state sets without building
+pairs; only the form rule, composition's order, selections and the
+diagonals read the side.
 Every other operator goes through one fallback, which builds a's pairs
 (dynamic._eval_dyn) and takes their image (indexsets.image). State fixed
 points share flat.EvalContext.fixpoint: `mu X . goal | <a> X` is linear in X
@@ -101,41 +101,6 @@ def eval_state(
     return StructureSet(universe, _eval(phi, EvalContext(universe, stats), valuation))
 
 
-def action_form(a: ProcExpr, ctx: EvalContext, val: Valuation) -> Optional[tuple[IndexSet, int]]:
-    """(ext, out) when a denotes {(i, j) : j in ext, i agrees with j off the
-    bits of out}, else None: a's action normal form.
-
-    An action's out is its output bits; a test (and bot) changes nothing,
-    out = 0. The intersection -(-a | -b) of two forms is one, as is a
-    projection keeping K of one: it forgets ext off K and lets i differ
-    from j there.
-    """
-    u = ctx.universe
-    if isinstance(a, dynamic.Action):
-        return ctx.extension(a, val), u.mask({val.symbol(arg) for arg in a.outputs})
-    if isinstance(a, dynamic.TESTS):
-        return dynamic.diagonal_states(a, ctx, val), 0
-    if isinstance(a, Bottom):
-        return IndexSet(u.size), 0
-    if isinstance(a, dynamic.Complement):
-        both = a.inner
-        if not (isinstance(both, Or) and isinstance(both.left, dynamic.Complement)
-                and isinstance(both.right, dynamic.Complement)):
-            return None
-        left = action_form(both.left.inner, ctx, val)
-        right = None if left is None else action_form(both.right.inner, ctx, val)
-        if right is None:
-            return None
-        return left[0].intersection(right[0]), left[1] & right[1]
-    if isinstance(a, dynamic.Project):
-        inner = action_form(a.inner, ctx, val)
-        if inner is None:
-            return None
-        off = u.full_mask & ~u.mask(val.symbol(v) for v in a.keep)
-        return inner[0].project(off), inner[1] | off
-    return None
-
-
 def _star_step(a: ProcExpr) -> Optional[ProcExpr]:
     """b when a has kleene_star(b)'s shape, mu Z . diag | Z ; b with Z not
     free in b; else None."""
@@ -189,7 +154,7 @@ def image(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet,
     than a star) go through the one fallback: a's pairs, then their image.
     """
     D = dynamic
-    form = action_form(a, ctx, val)
+    form = D.action_form(a, ctx, val)
     if form is not None:
         ext, out = form
         if side == 0:

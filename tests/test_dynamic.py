@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import rel
-from _gen import PROP_FULLP, SETP, SETQ_COPY, random_proc
+from _gen import PROP_FULLP, SETP, SETQ_COPY, random_proc, three_element_setup
 from modalg import dynamic as D
 from modalg import lmumu as S
 from modalg.core import (
@@ -340,6 +340,22 @@ class TestSelect:
         }
         assert got == expected
 
+    @pytest.mark.parametrize("sel, size, sources", [
+        # nearly every source is kept: the pairs of the other sources are
+        # taken away, and the result stays complemented
+        (D.Select(Var("P"), Var("P"), D.Complement(D.Test("FullP", ("P",)))), (1 << 24) - 512,
+         1 << 12),
+        # few sources are kept: their 8 x 4,096 pairs are listed
+        (D.Select(Var("Q"), Const.of([("a", "a")]), D.Complement(D.Test("EmptyQ", ("Q",)))),
+         8 << 12, 8),
+    ], ids=["many-sources", "few-sources"])
+    def test_select_over_complemented_body_at_scale(self, sel, size, sources):
+        domain, vocab, val = three_element_setup()
+        u = build_universe(domain, vocab)
+        got = eval_dyn(sel, val, u)
+        assert len(got) == size
+        assert len(S.eval_state(S.Diamond(sel, S.TOP), val, u)) == sources
+
 
 class TestComplementedProjection:
     def test_projection_of_complemented_diagonal_is_full(self, pq):
@@ -496,8 +512,9 @@ class TestTransitionSystem:
 
     def test_closed_subterms_built_once_per_fixpoint(self, monkeypatch):
         # the star's body, diag | Zs ; (Copy(P->Q) | Copy(Q->R)), runs 4
-        # rounds; its closed subterms (the diagonal and the action union) are
-        # built in the first only, with or without a transition-system record
+        # rounds; its closed subterms (the diagonal and the action union, three
+        # inertia calls) are built in the first only, with or without a
+        # transition-system record
         domain = Domain(("a", "b"))
         u = build_universe(domain, Vocabulary(tuple((s, 1) for s in "PQRS")))
         val = Valuation(domain, {}, {"Copy": AtomicModule.builtin(
@@ -506,18 +523,16 @@ class TestTransitionSystem:
             D.Action("Copy", ("P", "Q"), frozenset({"P"}), frozenset({"Q"})),
             D.Action("Copy", ("Q", "R"), frozenset({"Q"}), frozenset({"R"})),
         ))
-        built = {"inertia": 0, "diagonal": 0}
-        for name in built:
-            original = getattr(D, name)
-            monkeypatch.setattr(D, name, lambda *args, _name=name, _fn=original: (
-                built.__setitem__(_name, built[_name] + 1) or _fn(*args)))
+        built = []
+        monkeypatch.setattr(D, "inertia", lambda *args, _fn=D.inertia: (
+            built.append(1) or _fn(*args)))
         stats = EvalStats()
         eval_dyn(star, val, u, stats)
         assert stats.fixpoint_iterations == {to_text(star): 4}
-        assert built == {"inertia": 2, "diagonal": 1}
-        built.update(inertia=0, diagonal=0)
+        assert len(built) == 3
+        built.clear()
         build_transition_system(star, val, u)
-        assert built == {"inertia": 2, "diagonal": 1}
+        assert len(built) == 3
 
     def test_operand_legal_only_reversed_is_unlabelled(self, pq):
         # sel[Q == P] is a feedback selection of the reversed copy only; as

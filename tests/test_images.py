@@ -1,8 +1,8 @@
 """Images of state sets under a process, without its pairs: lmumu.image,
 backward (side 0, for <a> and [a]) and forward (side 1, for reach), against
-the pairs eval_dyn builds, the action normal form against its pairs, and the
-tasks that use the images: they build no pair where the images follow the
-process, and answer at the default 2^20 cap."""
+the pairs eval_dyn builds, the action normal form against the definitions,
+and the tasks that use the images: they build no pair where the images
+follow the process, and answer at the default 2^20 cap."""
 
 import random
 import time
@@ -143,7 +143,7 @@ def test_images_match_pairs(monkeypatch, name):
     u = build_universe(domain, vocab)
     n = u.size
     rng = random.Random(11)
-    checked, forms, kinds = 0, Counter(), Counter()
+    checked, kinds = 0, Counter()
     for k in range(len(fixed) + terms):
         a = fixed[k] if k < len(fixed) else random_image_proc(
             rng, atoms, keeps, select, rng.randrange(1, deepest + 1))
@@ -167,21 +167,165 @@ def test_images_match_pairs(monkeypatch, name):
                     got = S.image(a, ctx, val, states, side)
                 want = _image_of_pairs(pairs, n, set(members), side)
                 assert set(got.indices()) == want, (side, to_text(a))
-        for node in walk(a, within_sort=True):
-            form = S.action_form(node, ctx, val)
-            if form is None:
-                continue
-            try:
-                want = D._eval_dyn(node, ref_ctx, val)
-                got = inertia(*form)
-            except CapExceeded:
-                continue
-            assert got == want, to_text(node)
-            forms[type(node)] += 1
     assert checked >= terms * 3 // 4
-    assert forms[D.Complement] and forms[D.Project]
     assert all(kinds[cls] for cls in (D.Complement, D.Project, D.Union, D.Compose, D.Count,
                                       D.Reverse, D.Lfp, D.Up, D.Select, D.Test, D.Action))
+
+
+# ---------------------------------------------------------------------------
+# The action normal form against the definitions
+
+
+def random_form(rng, atoms, keeps, depth):
+    """Actions with random in/out splits, tests of every kind, diag and bot,
+    combined by intersection and projection."""
+    if depth <= 0:
+        module, args = rng.choice(atoms)
+        pick = rng.randrange(5)
+        if pick == 0:
+            return D.Test(module, args)
+        if pick == 1:
+            return D.StateTest(S.Prop(module, args))
+        if pick == 2:
+            return rng.choice([D.Diagonal(), D.Bottom(),
+                               D.ConstTest("P", Const.of([("a",)]), rng.random() < 0.5)])
+        outs = frozenset(arg for arg in args if rng.random() < 0.5)
+        return D.Action(module, args, frozenset(args) - outs, outs)
+    if rng.random() < 0.6:
+        return intersect(random_form(rng, atoms, keeps, depth - 1),
+                         random_form(rng, atoms, keeps, depth - 1))
+    return D.Project(rng.choice(keeps), random_form(rng, atoms, keeps, depth - 1))
+
+
+class Definitions:
+    """The targets of a source under a form, read off the paper's definitions
+    on Structure objects: an action or test holds on the target (module
+    membership) and the source agrees with it off the outputs, an
+    intersection meets its parts' pairs, and pi{K} takes the existential
+    over the symbols off K in both components."""
+
+    def __init__(self, universe, val):
+        self.structures = list(universe)
+        self.names = universe.vocabulary.names
+        self.val = val
+        self.groups = {}  # symbols -> (key -> the indices with that key)
+        self.memo = {}
+
+    def key(self, j, symbols):
+        return tuple(self.structures[j].rel(x) for x in symbols)
+
+    def agreeing(self, j, symbols):
+        """The structures that agree with structure j on symbols."""
+        symbols = tuple(sorted(symbols))
+        if symbols not in self.groups:
+            group = self.groups[symbols] = {}
+            for k in range(len(self.structures)):
+                group.setdefault(self.key(k, symbols), []).append(k)
+        return self.groups[symbols][self.key(j, symbols)]
+
+    def holds(self, a, j):
+        s = self.structures[j]
+        if isinstance(a, D.StateTest):
+            a = a.phi
+        return self.val.module(a.module).accepts(
+            s.domain, [s.rel(self.val.symbol(x)) for x in a.args])
+
+    def targets(self, a, i):
+        if (a, i) not in self.memo:
+            self.memo[a, i] = frozenset(self._targets(a, i))
+        return self.memo[a, i]
+
+    def _targets(self, a, i):
+        if isinstance(a, D.Action):
+            outs = {self.val.symbol(x) for x in a.outputs}
+            return {j for j in self.agreeing(i, set(self.names) - outs) if self.holds(a, j)}
+        if isinstance(a, (D.Test, D.StateTest)):
+            return {i} if self.holds(a, i) else set()
+        if isinstance(a, D.Diagonal):
+            return {i}
+        if isinstance(a, D.Bottom):
+            return set()
+        if isinstance(a, D.ConstTest):
+            sym = self.val.symbol(a.var)
+            rel = self.structures[i].rel(sym)
+            return {i} if (rel.tuples == a.value.value(rel.arity).tuples) == a.equal else set()
+        if isinstance(a, D.Project):
+            keep = {self.val.symbol(x) for x in a.keep}
+            keys = {self.key(j, sorted(keep)) for source in self.agreeing(i, keep)
+                    for j in self.targets(a.inner, source)}
+            return {j for j in range(len(self.structures)) if self.key(j, sorted(keep)) in keys}
+        both = a.inner  # -(-l | -r)
+        return self.targets(both.left.inner, i) & self.targets(both.right.inner, i)
+
+
+@pytest.mark.parametrize("name", ["pq", "abc"])
+def test_action_forms_match_definitions(request, name):
+    """dynamic.action_form and the pairs inertia builds from it, against the
+    definitions: every pair on P/Q, a seeded sample of sources on {a,b,c}."""
+    if name == "pq":
+        _, _, u, val = request.getfixturevalue("pq")
+        keeps = [frozenset(), frozenset({"P"}), frozenset({"Q"}), frozenset({"P", "Q"})]
+    else:
+        domain, vocab, val = three_element_setup()
+        u = build_universe(domain, vocab)
+        keeps = SETUPS["abc"][2]
+    atoms = SETUPS["abc"][1]
+    rng = random.Random(5)
+    sources = range(u.size) if name == "pq" else rng.sample(range(u.size), 3)
+    definitions, ctx, forms = Definitions(u, val), EvalContext(u), Counter()
+    for _ in range(40):
+        for node in walk(random_form(rng, atoms, keeps, rng.randrange(4)), within_sort=True):
+            form = D.action_form(node, ctx, val)
+            # the parts -a and -a | -b of an intersection have no form
+            part = isinstance(node, D.Union) or (isinstance(node, D.Complement)
+                                                 and not isinstance(node.inner, D.Union))
+            assert (form is None) == part, to_text(node)
+            if part:
+                continue
+            try:
+                pairs = inertia(*form)
+            except CapExceeded:
+                continue  # too many pairs to list
+            for i in sources:
+                got = {j for j in range(u.size) if i * u.size + j in pairs}
+                assert got == definitions.targets(node, i), (i, to_text(node))
+            forms[type(node)] += 1
+    assert all(forms[cls] for cls in (D.Complement, D.Project, D.Action, D.Test, D.StateTest,
+                                      D.ConstTest, D.Diagonal, D.Bottom))
+
+
+NONEMPTY_P = D.StateTest(S.Prop("NonemptyP", ("P",)))
+COPY_TWICE = D.Compose(COPY_PQ, COPY_PQ)
+
+
+def test_form_decided_before_evaluation(monkeypatch):
+    """A mixed intersection has no form, and its form part is not evaluated
+    to find that out: the diamond evaluates its state test once."""
+    domain, vocab, val = three_element_setup()
+    u = build_universe(domain, vocab)
+    assert D.action_form(intersect(NONEMPTY_P, COPY_TWICE), EvalContext(u), val) is None
+    tested = []
+    for module in (F, D):  # flat's recursion, and the name dynamic calls
+        monkeypatch.setattr(module, "_eval", lambda e, ctx, val, _fn=module._eval: (
+            tested.append(e) or _fn(e, ctx, val)))
+    S.eval_state(S.Diamond(intersect(NONEMPTY_P, COPY_TWICE), S.TOP), val, u)
+    assert tested.count(NONEMPTY_P.phi) == 1
+
+
+def test_intersected_projection_built_from_its_form():
+    """A test meets a projection whose pairs alone are too many: eval_dyn
+    builds the intersection's pairs from its one form, the diagonal of the
+    states its diamond holds on."""
+    domain, vocab, val = three_element_setup()
+    u = build_universe(domain, vocab)
+    proj = D.Project(frozenset(), D.Action("EmptyQ", ("Q",), frozenset(), frozenset({"Q"})))
+    with pytest.raises(CapExceeded):
+        D.eval_dyn(proj, val, u)
+    a = intersect(D.Test("NonemptyP", ("P",)), proj)
+    pairs = D.eval_dyn(a, val, u)
+    states = S.eval_state(S.Diamond(a, S.TOP), val, u)
+    assert len(pairs) == 3584
+    assert set(pairs.pairs()) == {(i, i) for i in states.iset.indices()}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from modalg.indexsets import (
     PairSet,
     compose,
     cylinder,
-    diagonal,
     image,
     inertia,
     restrict,
@@ -121,7 +120,7 @@ def test_state_and_pair_operations_match_set_model():
             assert pair_model(inertia(s, free)) == {
                 (i, j) for j in model(s) for i in range(N) if i & ~free == j & ~free}
     for s in states:
-        assert pair_model(diagonal(s)) == {(i, i) for i in model(s)}
+        assert pair_model(inertia(s, 0)) == {(i, i) for i in model(s)}
     full = IndexSet.full(N)
     for p in pairs:
         # from every state: the sources (side 0) and the targets (side 1)
@@ -131,9 +130,14 @@ def test_state_and_pair_operations_match_set_model():
             assert model(image(p, s, 0)) == {i for i, j in pair_model(p) if j in model(s)}
             assert model(image(p, s, 1)) == {j for i, j in pair_model(p) if i in model(s)}
             for side in (0, 1):
-                assert pair_model(restrict(p, s, side)) == {
+                got = restrict(p, s, side)
+                assert pair_model(got) == {
                     pair for pair in pair_model(p) if pair[side] in model(s)
                 }
+                if p.negated:
+                    # the smaller cylinder is listed: kept for few states,
+                    # taken away (the result stays complemented) for many
+                    assert got.negated == (2 * len(s) > N)
         for q in pairs:
             assert pair_model(p.union(q)) == pair_model(p) | pair_model(q)
             assert pair_model(p.intersection(q)) == pair_model(p) & pair_model(q)

@@ -5,9 +5,10 @@ PairSet (pair sets) and the operations next to them; none reads a state
 set's bitmap, a pair set's stored members or complement flag, or enforces
 the budget itself, and none lists the submasks of a bitmask.
 
-The atom rule and the task layer's choice of search are likewise in one
-function each, and the image of a state set under a process, in either
-direction, falls back to pair sets in one function.
+The atom rule, the action normal form of the process evaluators and the
+task layer's choice of search are likewise in one function each, and the
+image of a state set under a process, in either direction, falls back to
+pair sets in one function.
 """
 
 import ast
@@ -115,6 +116,24 @@ def test_one_pair_fallback_for_modalities():
         "restrict", "targets", "preimage"}
     tasks = _source("tasks.py")
     assert not _functions_using(tasks, "eval_dyn") | _functions_using(tasks, "_eval_dyn")
+
+
+def test_one_form_rule_for_both_process_evaluators():
+    """Actions, tests, and their intersections and projections are read in
+    one action normal form, dynamic.action_form, by lmumu.image and by
+    eval_dyn alike. Outside indexsets.py, inertia builds pairs only in
+    dynamic._eval_dyn_inner: a form's pairs, and the diagonals of the
+    operators that have no form."""
+    from modalg import dynamic, indexsets, lmumu
+
+    declaring = {path.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name == "action_form"}
+    assert declaring == {"dynamic.py"}
+    assert not hasattr(lmumu, "action_form") and not hasattr(indexsets, "diagonal")
+    assert not [name for name in ("diagonal_states", "TESTS", "diagonal") if hasattr(dynamic, name)]
+    callers = {(path.name, function) for path in SOURCES if path.name != "indexsets.py"
+               for function in _functions_using(path, "inertia")}
+    assert callers == {("dynamic.py", "_eval_dyn_inner")}
 
 
 SHARED_OPERATORS = ("Bottom", "ModuleVar", "Union", "Complement", "Project", "Select", "Lfp",
