@@ -483,24 +483,58 @@ def build_universe(
     return Universe(domain, vocabulary, cap)
 
 
-class StructureSet:
-    """Set of universe structures backed by a state bitmap (see indexsets)."""
+class UniverseSet:
+    """A set of the universe's structures (arity 1) or of its structure pairs
+    (arity 2), held in `iset`, an index set of that sort (see indexsets).
+    The set algebra is one for both; StructureSet and dynamic.EdgeSet add
+    only their readers."""
 
     __slots__ = ("universe", "iset")
+    arity = 1
+    build = IndexSet  # build(n, members=()): the iset over n = universe.size states
 
-    def __init__(self, universe: Universe, iset: IndexSet):
-        if iset.space != universe.size:
-            raise ModalgError("index set does not match universe size")
+    def __init__(self, universe: Universe, iset) -> None:
+        if iset.space != universe.size ** self.arity:
+            raise ModalgError(f"{iset!r} does not match the universe's {universe.size} structures")
         self.universe = universe
         self.iset = iset
 
     @classmethod
-    def empty(cls, universe: Universe) -> "StructureSet":
-        return cls(universe, IndexSet(universe.size))
+    def empty(cls, universe: Universe):
+        return cls(universe, cls.build(universe.size))
 
-    @classmethod
-    def full(cls, universe: Universe) -> "StructureSet":
-        return cls(universe, IndexSet.full(universe.size))
+    def __len__(self) -> int:
+        return len(self.iset)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.universe is other.universe and self.iset == other.iset
+
+    def __hash__(self) -> int:
+        return hash((id(self.universe), len(self.iset)))
+
+    def union(self, other):
+        return type(self)(self.universe, self.iset.union(other.iset))
+
+    def intersection(self, other):
+        return type(self)(self.universe, self.iset.intersection(other.iset))
+
+    def complement(self):
+        return type(self)(self.universe, self.iset.complement())
+
+    def issubset(self, other) -> bool:
+        return self.iset.issubset(other.iset)
+
+    def __repr__(self) -> str:
+        power = "^2" if self.arity == 2 else ""
+        return f"{type(self).__name__}({len(self)} of {self.universe.size}{power})"
+
+
+class StructureSet(UniverseSet):
+    """Set of universe structures backed by a state bitmap (see indexsets)."""
+
+    __slots__ = ()
 
     @classmethod
     def of_indices(cls, universe: Universe, indices: Iterable[int]) -> "StructureSet":
@@ -516,32 +550,6 @@ class StructureSet:
     def __contains__(self, item: Union[Structure, int]) -> bool:
         i = item if isinstance(item, int) else self.universe.index_of(item)
         return i in self.iset
-
-    def __len__(self) -> int:
-        return len(self.iset)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StructureSet):
-            return NotImplemented
-        return self.universe is other.universe and self.iset == other.iset
-
-    def __hash__(self) -> int:
-        return hash((id(self.universe), len(self.iset)))
-
-    def union(self, other: "StructureSet") -> "StructureSet":
-        return StructureSet(self.universe, self.iset.union(other.iset))
-
-    def intersection(self, other: "StructureSet") -> "StructureSet":
-        return StructureSet(self.universe, self.iset.intersection(other.iset))
-
-    def complement(self) -> "StructureSet":
-        return StructureSet(self.universe, self.iset.complement())
-
-    def issubset(self, other: "StructureSet") -> bool:
-        return self.iset.issubset(other.iset)
-
-    def __repr__(self) -> str:
-        return f"StructureSet({len(self)} of {self.universe.size})"
 
 
 def extension_index_set(

@@ -5,46 +5,43 @@ The operators this sort shares with the flat algebra (bot, module
 variables, union, complement, projection, selection, mu, and the sugar
 intersect/minus) are flat's classes, re-exported here; the direction of
 information propagation is on the atoms alone (Action's inputs and
-outputs). This module declares only the process-only nodes. A state test
-evaluates its formula with flat._eval, the one evaluator of state sets.
+outputs). This module declares only the process-only nodes, and evaluates
+only them, atoms and selection: module variables, union, complement,
+projection and mu take flat._shared, the rule of sets of structures too.
+A state test evaluates its formula with flat._eval.
 
 Actions, tests, and their intersections and projections denote
 {(i, j) : j in ext, i agrees with j off out}: action_form reads this action
-normal form, the atom rule of both process evaluators. Edge sets are
-possibly-complemented pair sets (see indexsets), so complement costs
-nothing. eval_dyn and build_transition_system build the pairs of every
-subterm with no form, and a form's with one inertia(ext, out). The
-modalities of the state logic and tasks.reach build no pairs where they can:
-they follow a process by one image function of state sets, lmumu.image,
-backward (side 0, the sources) or forward (side 1, the targets), reading
-forms and stars as fixed points of state sets, and come here only for the
-operators the image cannot follow. dn, up and neg take the same image of
-their operand's pairs, from every state (indexsets.image). Binary fixed
-points run in the shared loop of flat.EvalContext.fixpoint: semi-naive for
-a body linear in its variable (a star's `diag | Z ; a` composes only each
-round's new pairs), with the body's closed subterms (the star's `diag` and
-`a`) built once.
+normal form, the atom rule of both process evaluators. An EdgeSet is a
+core.UniverseSet, as a StructureSet is, over a possibly-complemented pair
+set (see indexsets), read and written as (i, j) pairs, so complement costs
+nothing and this module never sees a pair code. eval_dyn and
+build_transition_system build the pairs of every subterm with no form, and
+a form's with one inertia(ext, out). The modalities of the state logic and
+tasks.reach build no pairs where they can: they follow a process by one
+image function of state sets, lmumu.image, backward (side 0, the sources)
+or forward (side 1, the targets), reading forms and stars as fixed points
+of state sets, and come here only for the operators the image cannot
+follow. dn, up and neg take the same image of their operand's pairs, from
+every state (indexsets.image). Binary fixed points run in the shared loop
+of flat.EvalContext.fixpoint: semi-naive for a body linear in its variable
+(a star's `diag | Z ; a` composes only each round's new pairs), with the
+body's closed subterms (the star's `diag` and `a`) built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .core import RelationValue, Universe, Valuation, values_index_set
-from .errors import IllegalSelect, UnboundModuleVar, WellformednessError
+from .core import Universe, UniverseSet, Valuation, values_index_set
+from .errors import CapExceeded, IllegalSelect, UnboundModuleVar, WellformednessError
 # the operators shared with the flat algebra, re-exported
 from .flat import Bottom, Complement, Lfp, ModuleVar, Project, Select, Union, intersect, minus
-from .flat import Const, EvalContext, EvalStats, ProcExpr, StateExpr, Var
-from .flat import _eval, _evaluator, _select_filter
-from .indexsets import (
-    IndexSet,
-    PairSet,
-    compose,
-    image,
-    inertia,
-    restrict,
-)
+from .flat import SHARED, Const, EvalContext, EvalStats, ProcExpr, StateExpr, Var
+from .flat import _eval, _evaluator, _select_filter, _shared
+from .indexsets import IndexSet, PairSet, compose, image, inertia, restrict
 from .syntax import children, map_children, walk
 
 
@@ -127,6 +124,12 @@ class Reverse(ProcExpr):
 
     additive = ("inner",)
     inner: ProcExpr
+
+    @cached_property
+    def flipped(self) -> ProcExpr:
+        """The operand with its actions flipped, built once per node: a
+        fixpoint body meets the same subterms (and their plans) each round."""
+        return flip_actions(self.inner)
 
 
 @dataclass(frozen=True)
@@ -242,56 +245,22 @@ def io_vocab(a: ProcExpr) -> tuple[frozenset[str], frozenset[str]]:
 # Edge sets
 
 
-class EdgeSet:
+class EdgeSet(UniverseSet):
     """Set of (source, target) universe-index pairs."""
 
-    __slots__ = ("universe", "iset")
-
-    def __init__(self, universe: Universe, iset: PairSet):
-        if iset.space != universe.size * universe.size:
-            raise WellformednessError("pair set does not match the pair space")
-        self.universe = universe
-        self.iset = iset
-
-    @classmethod
-    def empty(cls, universe: Universe) -> "EdgeSet":
-        return cls(universe, PairSet(universe.size * universe.size))
+    __slots__ = ()
+    arity = 2
+    build = PairSet.from_pairs
 
     @classmethod
     def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]) -> "EdgeSet":
-        n = universe.size
-        return cls(universe, PairSet(n * n, (i * n + j for i, j in pairs)))
+        return cls(universe, PairSet.from_pairs(universe.size, pairs))
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        n = self.universe.size
-        for code in self.iset.indices():
-            yield divmod(code, n)
+        return self.iset.pairs()
 
     def contains(self, i: int, j: int) -> bool:
-        return i * self.universe.size + j in self.iset
-
-    def __len__(self) -> int:
-        return len(self.iset)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EdgeSet):
-            return NotImplemented
-        return self.universe is other.universe and self.iset == other.iset
-
-    def __hash__(self) -> int:
-        return hash((id(self.universe), len(self.iset)))
-
-    def union(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.universe, self.iset.union(other.iset))
-
-    def intersection(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.universe, self.iset.intersection(other.iset))
-
-    def complement(self) -> "EdgeSet":
-        return EdgeSet(self.universe, self.iset.complement())
-
-    def __repr__(self) -> str:
-        return f"EdgeSet({len(self)} of {self.universe.size}^2)"
+        return self.iset.contains(i, j)
 
 
 @dataclass
@@ -329,25 +298,11 @@ def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
     form = action_form(a, ctx, val)
     if form is not None:
         return inertia(*form)
-    u = ctx.universe
-    n = u.size
-    if isinstance(a, ModuleVar):
-        value = val.env.get(a.name)
-        if not isinstance(value, EdgeSet):
-            raise UnboundModuleVar(f"module variable {a.name} is not bound to an edge set")
-        return value.iset
-    if isinstance(a, Union):
-        return _eval_dyn(a.left, ctx, val).union(_eval_dyn(a.right, ctx, val))
-    if isinstance(a, Complement):
-        return _eval_dyn(a.inner, ctx, val).complement()
-    if isinstance(a, Project):
-        inner = _eval_dyn(a.inner, ctx, val)
-        off = u.full_mask & ~u.mask(val.symbol(v) for v in a.keep)
-        return inner.project((off << u.total_bits) | off)
+    if isinstance(a, SHARED):
+        return _shared(a, ctx, val, _eval_dyn, EdgeSet)
+    n = ctx.universe.size
     if isinstance(a, Select):
         return _eval_select(a, ctx, val)
-    if isinstance(a, Lfp):
-        return ctx.fixpoint(a, val, _eval_dyn, EdgeSet)
     if isinstance(a, (Down, Up, UnaryNeg)):
         # the sources of a.inner's pairs (dn, neg), or their targets (up)
         ends = image(_eval_dyn(a.inner, ctx, val), IndexSet.full(n), int(isinstance(a, Up)))
@@ -355,17 +310,18 @@ def _eval_dyn_inner(a: ProcExpr, ctx: EvalContext, val: Valuation) -> PairSet:
     if isinstance(a, Compose):
         return compose(_eval_dyn(a.left, ctx, val), _eval_dyn(a.right, ctx, val))
     if isinstance(a, Count):
-        inner = _eval_dyn(a.inner, ctx, val)
-        power = inertia(IndexSet.full(n), 0)
-        for _ in range(a.low):
-            power = compose(power, inner)
-        acc = power
-        for _ in range(a.low, a.high):
-            power = compose(power, inner)
-            acc = acc.union(power)
+        # the k-th power for k = 1..high, from the body on; the diagonal
+        # (power 0) only for low = 0
+        inner = power = _eval_dyn(a.inner, ctx, val)
+        acc = inertia(IndexSet.full(n), 0) if a.low == 0 else None
+        for k in range(1, a.high + 1):
+            if k > 1:
+                power = compose(power, inner)
+            if k >= a.low:
+                acc = power if acc is None else acc.union(power)
         return acc
     if isinstance(a, Reverse):
-        return _eval_dyn(flip_actions(a.inner), ctx, val)
+        return _eval_dyn(a.flipped, ctx, val)
     if isinstance(a, TestEq):
         return _eval_dyn(a.inner, ctx, val).intersection(inertia(IndexSet.full(n), 0))
     if isinstance(a, TestNeq):
@@ -416,7 +372,7 @@ def action_form(a: ProcExpr, ctx: EvalContext, val: Valuation) -> Optional[tuple
         return _eval(a.phi, ctx, val), 0
     if isinstance(a, Project):
         ext, out = action_form(a.inner, ctx, val)
-        off = u.full_mask & ~u.mask(val.symbol(v) for v in a.keep)
+        off = u.full_mask & ~u.mask(map(val.symbol, a.keep))
         return ext.project(off), out | off
     (left, left_out), (right, right_out) = (
         action_form(b.inner, ctx, val) for b in (a.inner.left, a.inner.right))
@@ -436,36 +392,30 @@ def select_side(a: Select) -> Optional[int]:
 
 def _eval_select(a: Select, ctx: EvalContext, val: Valuation) -> PairSet:
     u = ctx.universe
-    n = u.size
     inner = _eval_dyn(a.inner, ctx, val)
     l, r = a.left, a.right
     side = select_side(a)
     if side is not None:
         return restrict(inner, _select_filter(l, r, val, u), side)
     sigma, epsilon = io_vocab(a.inner)
-    if isinstance(l, Var) and l.name in sigma and (isinstance(r, Const) or r.name in epsilon):
-        # feedback: guess the input L1 on the source to match L2 on the target
-        l1_sym = val.symbol(l.name)
-        l1_arity = u.vocabulary.arity(l1_sym)
-        l1_mask = u.mask([l1_sym])
-        members = set()
-        for code in inner.indices():
-            c, b2 = divmod(code, n)
-            if isinstance(r, Var):
-                r_tuples = u.rel_of_index(b2, val.symbol(r.name)).tuples
-            else:
-                r_tuples = r.tuples
-            if any(len(t) != l1_arity for t in r_tuples):
-                continue  # sets of mismatched arity can never be equal unless empty
-            bits = u.encode_rel(l1_sym, RelationValue(l1_arity, frozenset(r_tuples)))
-            b1 = (c & ~l1_mask) | bits
-            members.add(b1 * n + b2)
-        return PairSet(n * n, members)
-    raise IllegalSelect(
-        f"selection operands {l} and {r} do not classify as two inputs, two outputs, "
-        f"or input-output feedback for the body (inputs {sorted(sigma)}, outputs "
-        f"{sorted(epsilon)})"
-    )
+    if not (isinstance(l, Var) and isinstance(r, Var) and l.name in sigma and r.name in epsilon):
+        raise IllegalSelect(
+            f"selection operands {l} and {r} do not classify as two inputs, two outputs, "
+            f"or input-output feedback for the body (inputs {sorted(sigma)}, outputs "
+            f"{sorted(epsilon)})"
+        )
+    # feedback: each pair (i, j) gives the source i with L1 set to L2 at j.
+    # Of one arity, the slots list their tuples in one order, so L2's slot of
+    # j moves into L1's by one mask and shift; of two arities, only empty
+    # relations are equal. (Against a constant, L1 selects on the source.)
+    s1, s2 = val.symbol(l.name), val.symbol(r.name)
+    l1, l2 = u.mask([s1]), u.mask([s2])
+    if u.vocabulary.arity(s1) != u.vocabulary.arity(s2):
+        return PairSet.from_pairs(u.size, ((i & ~l1, j) for i, j in inner.pairs() if not j & l2))
+    shift = (l1 & -l1).bit_length() - (l2 & -l2).bit_length()
+    up, down = max(shift, 0), max(-shift, 0)
+    return PairSet.from_pairs(u.size, (((i & ~l1) | (j & l2) << up >> down, j)
+                                       for i, j in inner.pairs()))
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +433,10 @@ def build_transition_system(
     Subformulas under a fixed point are labelled with their converged
     extension (the final iteration's value). Labels are canonical prints,
     listed in post-order without repeats; state tests are labelled but not
-    entered. The as-written operand of a reverse is labelled when it has an
-    extension: not when it is open or a selection legal only reversed.
+    entered. A subterm the evaluation did not need on its own (the
+    as-written operand of a reverse, a part of an action normal form) is
+    evaluated by itself, and left unlabelled when it is open, a selection
+    legal only reversed, or has more pairs than the budget allows.
     """
     record: dict[str, PairSet] = {}
     ctx = EvalContext(universe, stats, record)
@@ -497,10 +449,9 @@ def build_transition_system(
             continue
         seen.add(key)
         if key not in record:
-            # e.g. the as-written operand of a reverse; evaluate it directly
             try:
                 record[key] = _eval_dyn_inner(node, ctx, valuation)
-            except (UnboundModuleVar, IllegalSelect):
-                continue  # an open subterm, or a selection legal only reversed
+            except (UnboundModuleVar, IllegalSelect, CapExceeded):
+                continue
         edges[key] = EdgeSet(universe, record[key])
     return TransitionSystem(universe, edges, tuple(edges))

@@ -9,7 +9,10 @@ propagation lives on the atoms (dynamic.Action), not on the operators.
 Evaluation is explicit-state: extensions are subsets of a materializable
 universe, represented as bitmaps over its indices (see indexsets). _eval
 evaluates flat expressions and state formulas alike; the evaluation context
-and the least-fixed-point loop defined here serve all three sorts.
+and the least-fixed-point loop defined here serve all three sorts, and so
+does _shared, the one rule of the operators that mean the same on sets of
+structures and of structure pairs (module variables, union, complement,
+projection, mu).
 """
 
 from __future__ import annotations
@@ -530,31 +533,42 @@ def eval_flat(
 lmumu = None  # the module of the state-only nodes, bound by _eval
 
 
+# the operators every sort reads alike, evaluated by _shared
+SHARED = (ModuleVar, Union, Complement, Project, Lfp)
+
+
+def _shared(e: Node, ctx: EvalContext, val: Valuation, evaluate, box):
+    """The one rule of SHARED for sets of structures and of structure pairs,
+    given the sort's evaluator and set class (StructureSet or EdgeSet), as
+    ctx.fixpoint is. A pair projection forgets bits in both components."""
+    if isinstance(e, ModuleVar):
+        value = val.env.get(e.name)
+        if not isinstance(value, box):
+            raise UnboundModuleVar(
+                f"module variable {e.name} is not bound to a set of its sort ({box.__name__})")
+        return value.iset
+    if isinstance(e, Union):
+        return evaluate(e.left, ctx, val).union(evaluate(e.right, ctx, val))
+    if isinstance(e, Complement):
+        return evaluate(e.inner, ctx, val).complement()
+    if isinstance(e, Project):
+        u = ctx.universe
+        return evaluate(e.inner, ctx, val).project(u.full_mask & ~u.mask(map(val.symbol, e.keep)))
+    return ctx.fixpoint(e, val, evaluate, box)
+
+
 @_evaluator
 def _eval(e: TUnion[FlatExpr, StateExpr], ctx: EvalContext, val: Valuation) -> IndexSet:
     u = ctx.universe
-    if isinstance(e, Bottom):
-        return IndexSet(u.size)
     if isinstance(e, Atom):
         return ctx.extension(e, val)
-    if isinstance(e, ModuleVar):
-        value = val.env.get(e.name)
-        if not isinstance(value, StructureSet):
-            raise UnboundModuleVar(f"module variable {e.name} is not bound to a structure set")
-        return value.iset
-    if isinstance(e, Union):
-        return _eval(e.left, ctx, val).union(_eval(e.right, ctx, val))
-    if isinstance(e, Complement):
-        return _eval(e.inner, ctx, val).complement()
-    if isinstance(e, Project):
-        inner = _eval(e.inner, ctx, val)
-        keep_mask = u.mask(val.symbol(v) for v in e.keep)
-        return inner.project(u.full_mask & ~keep_mask)
+    if isinstance(e, SHARED):
+        return _shared(e, ctx, val, _eval, StructureSet)
+    if isinstance(e, Bottom):
+        return IndexSet(u.size)
     if isinstance(e, Select):
         inner = _eval(e.inner, ctx, val)
         return inner.intersection(_select_filter(e.left, e.right, val, u))
-    if isinstance(e, Lfp):
-        return ctx.fixpoint(e, val, _eval, StructureSet)
     # the state-only nodes; lmumu imports this module, so it is bound on first use
     global lmumu
     if lmumu is None:

@@ -8,9 +8,11 @@ per-bit column masks (Knuth, TAOCP 4A §7.1.3). A pair set lives over
 2^(2*bits) codes, the pair (i, j) coded (i << bits) | j, too many for a
 bitmap: it is an explicit member set or the complement of one, so complement
 is O(1), unions and intersections go through De Morgan, and only enumeration
-materializes. Pair projection and the image of a state set in either
-direction are existentials over some bits of a code and share one complement
-rule (`_classes`).
+materializes. The code is known here alone: a pair set is built from and
+read as (i, j) pairs, and its projection takes a state mask and applies it
+to both components, as a state set's applies it to its one. Pair projection
+and the image of a state set in either direction are existentials over some
+bits of a code and share one complement rule (`_classes`).
 """
 
 from __future__ import annotations
@@ -158,6 +160,21 @@ class PairSet:
         self.members = frozenset(members)
         self.negated = negated
 
+    @classmethod
+    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]] = ()) -> "PairSet":
+        """The given (i, j) pairs over n = 2^bits states."""
+        bits = n.bit_length() - 1
+        return cls(n << bits, ((i << bits) | j for i, j in pairs))
+
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The (i, j) pairs in ascending order; materializes complements (guarded)."""
+        bits = _half_bits(self.space)
+        low = (1 << bits) - 1
+        return ((c >> bits, c & low) for c in self.indices())
+
+    def contains(self, i: int, j: int) -> bool:
+        return ((i << _half_bits(self.space)) | j) in self
+
     def __len__(self) -> int:
         return self.space - len(self.members) if self.negated else len(self.members)
 
@@ -212,9 +229,11 @@ class PairSet:
         yield from (i for i in range(self.space) if i not in self.members)
 
     def project(self, free_mask: int) -> "PairSet":
-        """{c : some d in the set agrees with c outside free_mask}."""
-        keys = _classes(self.members, self.negated, ~free_mask, 1 << free_mask.bit_count())
-        out = _pair_cylinder(self.space, keys, free_mask)
+        """{(i, j) : some (k, l) in the set agrees with (i, j) outside the
+        state mask free_mask, in both components}."""
+        free = (free_mask << _half_bits(self.space)) | free_mask
+        keys = _classes(self.members, self.negated, ~free, 1 << free.bit_count())
+        out = _pair_cylinder(self.space, keys, free)
         return out.complement() if self.negated else out
 
     def __repr__(self) -> str:

@@ -171,7 +171,7 @@ def image(a: ProcExpr, ctx: EvalContext, val: Valuation, states: IndexSet,
         ends = image(a.inner, ctx, val, IndexSet.full(ctx.universe.size), side)
         return (ends.complement() if isinstance(a, D.UnaryNeg) else ends).intersection(states)
     if isinstance(a, D.Reverse):
-        return image(D.flip_actions(a.inner), ctx, val, states, side)
+        return image(a.flipped, ctx, val, states, side)
     if isinstance(a, D.Select):
         selected = D.select_side(a)
         if selected is not None:

@@ -164,6 +164,30 @@ class TestDerivedOperations:
                 got = pairs_of(eval_dyn(D.Count(a, low, high), val, u))
                 assert got == union_of_powers
 
+    def test_count_builds_diagonal_only_for_power_zero(self, monkeypatch):
+        # a^{n,m} takes its powers from the body on: m - 1 compositions, and
+        # the diagonal (a third inertia call) only for n = 0
+        domain = Domain(("a", "b"))
+        u = build_universe(domain, Vocabulary(tuple((s, 1) for s in "PQR")))
+        val = Valuation(domain, {}, {"Copy": AtomicModule.builtin(
+            "Copy", [("A", 1), ("B", 1)], fn=lambda d, rels: rels[0] == rels[1])})
+        body = D.Union(D.Action("Copy", ("P", "Q"), frozenset({"P"}), frozenset({"Q"})),
+                       D.Action("Copy", ("Q", "R"), frozenset({"Q"}), frozenset({"R"})))
+        base = pairs_of(eval_dyn(body, val, u))
+        built = {"inertia": 0, "compose": 0}
+        for name in built:
+            monkeypatch.setattr(D, name, lambda *args, _name=name, _fn=getattr(D, name): (
+                built.__setitem__(_name, built[_name] + 1) or _fn(*args)))
+        for low, high, calls in ((1, 3, (2, 2)), (2, 2, (2, 1)), (0, 2, (3, 1)), (0, 0, (3, 0))):
+            built.update(dict.fromkeys(built, 0))
+            got = pairs_of(eval_dyn(D.Count(body, low, high), val, u))
+            assert (built["inertia"], built["compose"]) == calls, (low, high)
+            power, want = {(i, i) for i in range(u.size)}, set()
+            for k in range(high + 1):
+                want |= power if k >= low else set()
+                power = brute_compose(power, base)
+            assert got == want
+
     def test_star_examples(self, pq):
         _, _, u, val = pq
         assert eval_dyn(kleene_star(D.Bottom()), val, u) == eval_dyn(D.Diagonal(), val, u)
@@ -285,25 +309,54 @@ class TestSelect:
         }
         assert got == expected
 
+    @staticmethod
+    def feedback_oracle(u, val, sel, inner):
+        """The displayed semantics on Structure objects: (B1, B2) for a pair
+        (C, B2) of the body, where B1 agrees with the witness C off L1 and L1
+        at B1 equals L2 at B2, as tuple sets (as tasks._theta3 compares)."""
+        l1, l2 = val.symbol(sel.left.name), val.symbol(sel.right.name)
+        structures = list(u)
+        rest = [x for x in u.vocabulary.names if x != l1]
+        agreeing = {}  # the structures by their relations off L1
+        for b, s in enumerate(structures):
+            agreeing.setdefault(tuple(s.rel(x) for x in rest), []).append(b)
+        return {(b1, b2) for c, b2 in inner
+                for b1 in agreeing[tuple(structures[c].rel(x) for x in rest)]
+                if structures[b1].rel(l1).tuples == structures[b2].rel(l2).tuples}
+
     def test_case3_feedback_oracle(self):
-        # displayed semantics: B1 agrees with a witness C off L1 and
-        # L1 at B1 equals L2 at B2
-        sel = D.Select(Var("P"), Var("Q"), self.act)
-        got = pairs_of(eval_dyn(sel, self.val, self.u))
+        # P/Q; {a,b,c} with L1 = P/1 and L2 = Q/2, where only empty relations
+        # are equal; {a,b} with binary and unary L1, L2 on both sides of
+        # each other in the vocabulary
+        copy = D.Action("Copy", ("P", "Q"), frozenset({"P"}), frozenset({"Q"}))
+        nonempty = D.Action("NonemptyP", ("P",), frozenset({"P"}), frozenset())
+        domain, vocab, val = three_element_setup()
+        one = {"One": AtomicModule.builtin("One", [("A", 2), ("B", 2)],
+                                           fn=lambda d, r: r[1].tuples == {("a", "b")}),
+               "Two": AtomicModule.builtin("Two", [("A", 1), ("B", 1)],
+                                           fn=lambda d, r: r[1].tuples == {("b",)})}
+        mixed = Vocabulary((("R", 1), ("P", 2), ("S", 1), ("Q", 2)))
+        cases = [
+            (self.u, self.val, D.Select(Var("P"), Var("Q"), self.act)),
+            (build_universe(domain, vocab), val,
+             D.Select(Var("P"), Var("Q"), D.Union(copy, nonempty))),
+            (build_universe(self.domain, mixed), Valuation(self.domain, {}, one),
+             D.Select(Var("P"), Var("Q"), D.Action("One", ("P", "Q"), frozenset({"P"}),
+                                                   frozenset({"Q"})))),
+            (build_universe(self.domain, mixed), Valuation(self.domain, {}, one),
+             D.Select(Var("S"), Var("R"), D.Action("Two", ("S", "R"), frozenset({"S"}),
+                                                   frozenset({"R"})))),
+        ]
+        for u, val, sel in cases:
+            inner = pairs_of(eval_dyn(sel.inner, val, u))
+            got = pairs_of(eval_dyn(sel, val, u))
+            assert got and got == self.feedback_oracle(u, val, sel, inner), to_text(sel)
+        # against a constant, the input P selects on the source (case 1)
+        sel = D.Select(Var("P"), Const.of([("a",)]), self.act)
         inner = pairs_of(eval_dyn(self.act, self.val, self.u))
-        expected = set()
-        for b1 in range(16):
-            for b2 in range(16):
-                for c, cb2 in inner:
-                    if cb2 != b2:
-                        continue
-                    s1 = self.u.structure_at(b1)
-                    sc = self.u.structure_at(c)
-                    s2 = self.u.structure_at(b2)
-                    if s1.rel("Q") == sc.rel("Q") and s1.rel("P") == s2.rel("Q"):
-                        expected.add((b1, b2))
-                        break
-        assert got == expected
+        assert D.select_side(sel) == 0
+        assert pairs_of(eval_dyn(sel, self.val, self.u)) == {
+            (i, j) for i, j in inner if self.u.structure_at(i).rel("P").tuples == {("a",)}}
 
     def test_illegal_select(self):
         # operand outside both vocabularies
@@ -533,6 +586,22 @@ class TestTransitionSystem:
         built.clear()
         build_transition_system(star, val, u)
         assert len(built) == 3
+
+    def test_part_over_the_budget_is_unlabelled(self):
+        # eval_dyn builds NonemptyP(P)? & pi{} EmptyQ(out Q) from its one
+        # form; the projection alone has 2^24 pairs, over the budget, so it
+        # and the parts of the intersection built on it get no label
+        domain, vocab, val = three_element_setup()
+        u = build_universe(domain, vocab)
+        test = D.Test("NonemptyP", ("P",))
+        action = D.Action("EmptyQ", ("Q",), frozenset(), frozenset({"Q"}))
+        proj = D.Project(frozenset(), action)
+        a = D.intersect(test, proj)
+        ts = build_transition_system(a, val, u)
+        assert list(ts.order) == [to_text(test), to_text(D.Complement(test)), to_text(action),
+                                  to_text(a)]
+        assert ts.edges[to_text(a)] == eval_dyn(a, val, u)
+        assert len(ts.edges[to_text(a)]) == 3584
 
     def test_operand_legal_only_reversed_is_unlabelled(self, pq):
         # sel[Q == P] is a feedback selection of the reversed copy only; as

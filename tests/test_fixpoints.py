@@ -230,3 +230,32 @@ def test_closed_process_under_modality_built_once(monkeypatch):
             assert built == {"inertia": 2, "compose": rounds[to_text(proc)]}
         else:
             assert built == {"inertia": 0, "compose": 0}
+
+
+def test_reverse_flipped_once_per_node():
+    # mu X . Ne(P_last) | <rev (Copy(in Q; out R))* ; chain> X takes one
+    # round per link of the copy chain P0 -> ... -> P_last. Each rev node
+    # flips its operand once, so the star under it is planned once (as is
+    # the outer fixpoint) however many rounds the outer one takes.
+    def copy(s, t):
+        return D.Action("Copy", (s, t), frozenset({s}), frozenset({t}))
+
+    domain = Domain(("a",))
+    rounds, plans = [], []
+    for k in (3, 6):
+        symbols = [f"P{i}" for i in range(k)]
+        u = build_universe(domain, Vocabulary(tuple((s, 1) for s in symbols + ["Q", "R"])))
+        val = Valuation(domain, {}, {
+            "Copy": AtomicModule.builtin("Copy", [("A", 1), ("B", 1)], fn=lambda d, r: r[0] == r[1]),
+            "Ne": AtomicModule.builtin("Ne", [("A", 1)], fn=lambda d, r: bool(r[0].tuples))})
+        chain = copy(symbols[0], symbols[1])
+        for s, t in zip(symbols[1:], symbols[2:]):
+            chain = D.Union(chain, copy(s, t))
+        proc = D.Compose(D.Reverse(D.kleene_star(copy("Q", "R"))), chain)
+        node = S.Lfp("X", S.Or(S.Prop("Ne", (symbols[-1],)), S.Diamond(proc, S.SetVar("X"))))
+        stats = EvalStats()
+        ctx = F.EvalContext(u, stats)
+        F._eval(node, ctx, val)
+        rounds.append(stats.fixpoint_iterations[to_text(node)])
+        plans.append(len(ctx.plans))
+    assert rounds == [4, 7] and plans == [2, 2]

@@ -1,8 +1,9 @@
 """Images of state sets under a process, without its pairs: lmumu.image,
 backward (side 0, for <a> and [a]) and forward (side 1, for reach), against
-the pairs eval_dyn builds, the action normal form against the definitions,
-and the tasks that use the images: they build no pair where the images
-follow the process, and answer at the default 2^20 cap."""
+the pairs eval_dyn builds, the action normal form and the images of unions
+and compositions of forms against the definitions, and the tasks that use
+the images: they build no pair where the images follow the process, and
+answer at the default 2^20 cap."""
 
 import random
 import time
@@ -198,11 +199,13 @@ def random_form(rng, atoms, keeps, depth):
 
 
 class Definitions:
-    """The targets of a source under a form, read off the paper's definitions
-    on Structure objects: an action or test holds on the target (module
-    membership) and the source agrees with it off the outputs, an
-    intersection meets its parts' pairs, and pi{K} takes the existential
-    over the symbols off K in both components."""
+    """The targets of a source under a form, or a union or composition of
+    forms, read off the paper's definitions on Structure objects: an action
+    or test holds on the target (module membership) and the source agrees
+    with it off the outputs, an intersection meets its parts' pairs, pi{K}
+    takes the existential over the symbols off K in both components, a
+    union joins its parts' targets, and a composition takes the targets of
+    its left part's targets under its right part."""
 
     def __init__(self, universe, val):
         self.structures = list(universe)
@@ -254,21 +257,28 @@ class Definitions:
             keys = {self.key(j, sorted(keep)) for source in self.agreeing(i, keep)
                     for j in self.targets(a.inner, source)}
             return {j for j in range(len(self.structures)) if self.key(j, sorted(keep)) in keys}
+        if isinstance(a, D.Union):
+            return self.targets(a.left, i) | self.targets(a.right, i)
+        if isinstance(a, D.Compose):
+            return set().union(*(self.targets(a.right, j) for j in self.targets(a.left, i)))
         both = a.inner  # -(-l | -r)
         return self.targets(both.left.inner, i) & self.targets(both.right.inner, i)
+
+
+def _definitions_setup(request, name):
+    """(universe, valuation, projection keeps) on P/Q or on {a,b,c}."""
+    if name == "pq":
+        _, _, u, val = request.getfixturevalue("pq")
+        return u, val, [frozenset(), frozenset({"P"}), frozenset({"Q"}), frozenset({"P", "Q"})]
+    domain, vocab, val = three_element_setup()
+    return build_universe(domain, vocab), val, SETUPS["abc"][2]
 
 
 @pytest.mark.parametrize("name", ["pq", "abc"])
 def test_action_forms_match_definitions(request, name):
     """dynamic.action_form and the pairs inertia builds from it, against the
     definitions: every pair on P/Q, a seeded sample of sources on {a,b,c}."""
-    if name == "pq":
-        _, _, u, val = request.getfixturevalue("pq")
-        keeps = [frozenset(), frozenset({"P"}), frozenset({"Q"}), frozenset({"P", "Q"})]
-    else:
-        domain, vocab, val = three_element_setup()
-        u = build_universe(domain, vocab)
-        keeps = SETUPS["abc"][2]
+    u, val, keeps = _definitions_setup(request, name)
     atoms = SETUPS["abc"][1]
     rng = random.Random(5)
     sources = range(u.size) if name == "pq" else rng.sample(range(u.size), 3)
@@ -292,6 +302,39 @@ def test_action_forms_match_definitions(request, name):
             forms[type(node)] += 1
     assert all(forms[cls] for cls in (D.Complement, D.Project, D.Action, D.Test, D.StateTest,
                                       D.ConstTest, D.Diagonal, D.Bottom))
+
+
+def random_union_compose(rng, atoms, keeps, depth):
+    """Forms (of depth at most 1) combined by union and composition."""
+    if depth <= 0:
+        return random_form(rng, atoms, keeps, rng.randrange(2))
+    left, right = (random_union_compose(rng, atoms, keeps, depth - 1) for _ in range(2))
+    return D.Union(left, right) if rng.random() < 0.5 else D.Compose(left, right)
+
+
+@pytest.mark.parametrize("name", ["pq", "abc"])
+def test_images_match_definitions(request, name):
+    """lmumu.image on both sides, for unions and compositions of forms,
+    against the definitions: from every source on P/Q, from a seeded sample
+    of sources on {a,b,c}."""
+    u, val, keeps = _definitions_setup(request, name)
+    rng = random.Random(8)
+    definitions, kinds = Definitions(u, val), Counter()
+    for _ in range(30):
+        a = random_union_compose(rng, SETUPS["abc"][1], keeps, rng.randrange(1, 3))
+        kinds.update(type(node) for node in walk(a, within_sort=True))
+        ctx = EvalContext(u)
+        sources = range(u.size) if name == "pq" else rng.sample(range(u.size), 3)
+        # forward: the targets of a seeded set of sources
+        starts = set(rng.sample(sources, max(1, len(sources) // 3)))
+        want = set().union(*(definitions.targets(a, i) for i in starts))
+        assert set(S.image(a, ctx, val, IndexSet(u.size, starts), 1).indices()) == want
+        # backward: the sources with a target in a seeded set of states
+        goal = {j for j in range(u.size) if rng.random() < 0.2}
+        got = S.image(a, ctx, val, IndexSet(u.size, goal), 0)
+        for i in sources:
+            assert (i in got) == bool(definitions.targets(a, i) & goal), (i, to_text(a))
+    assert kinds[D.Union] and kinds[D.Compose]
 
 
 NONEMPTY_P = D.StateTest(S.Prop("NonemptyP", ("P",)))

@@ -113,9 +113,9 @@ def test_state_and_pair_operations_match_set_model():
     states = [s for s, _ in state_samples(rng, 20, N)]
     pairs = pair_samples(rng, 20, N * N)
     for free in (0, 0b001, 0b101, 0b111):
-        pair_free = (free << BITS) | free
+        pair_free = (free << BITS) | free  # the state mask, in both components
         for p in pairs:
-            assert model(p.project(pair_free)) == projected(model(p), pair_free, N * N)
+            assert model(p.project(free)) == projected(model(p), pair_free, N * N)
         for s in states:
             assert pair_model(inertia(s, free)) == {
                 (i, j) for j in model(s) for i in range(N) if i & ~free == j & ~free}

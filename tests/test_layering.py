@@ -3,7 +3,9 @@
 Every other module goes through the methods of IndexSet (state sets) and
 PairSet (pair sets) and the operations next to them; none reads a state
 set's bitmap, a pair set's stored members or complement flag, or enforces
-the budget itself, and none lists the submasks of a bitmask.
+the budget itself, and none lists the submasks of a bitmask. None knows
+the pair code either: pair sets are built from and read as (i, j) pairs,
+and take state masks.
 
 The atom rule, the action normal form of the process evaluators and the
 task layer's choice of search are likewise in one function each, and the
@@ -55,6 +57,42 @@ def test_representation_confined_to_indexsets():
             elif name in ("MATERIALIZE_LIMIT", "submasks"):
                 leaks.append((path.name, function, name))
     assert leaks == []
+
+
+def test_pair_code_confined_to_indexsets():
+    """Outside indexsets.py no code builds a PairSet from codes or splits a
+    code, and only core.py, which lays out the slots, reads total_bits."""
+    home = {"PairSet": "indexsets.py", "divmod": "indexsets.py", "total_bits": "core.py"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in home:
+                found.append((path.name, node.func.id))
+            elif isinstance(node, ast.Attribute) and node.attr == "total_bits":
+                found.append((path.name, node.attr))
+    assert [(where, name) for where, name in found if home[name] != where] == []
+
+
+def test_one_rule_for_the_shared_operators():
+    """ModuleVar, Union, Complement, Project and Lfp mean the same on sets of
+    structures and of pairs: neither evaluator names them, both hand them
+    to flat._shared. StructureSet and EdgeSet share one set algebra."""
+    from modalg import core, dynamic, flat
+
+    shared = {"ModuleVar", "Union", "Complement", "Project", "Lfp"}
+    for path, function in (("flat.py", "_eval"), ("dynamic.py", "_eval_dyn_inner")):
+        body = next(node for node in ast.walk(ast.parse(_source(path).read_text()))
+                    if isinstance(node, ast.FunctionDef) and node.name == function)
+        assert not {node.id for node in ast.walk(body) if isinstance(node, ast.Name)} & shared
+        assert "_shared" in {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert {cls.__name__ for cls in flat.SHARED} == shared
+    edge_set = next(node for node in ast.walk(ast.parse(_source("dynamic.py").read_text()))
+                    if isinstance(node, ast.ClassDef) and node.name == "EdgeSet")
+    declared = {node.name for node in edge_set.body if isinstance(node, ast.FunctionDef)}
+    assert not declared & {"union", "intersection", "complement", "__eq__", "__hash__",
+                           "__len__"}
+    assert dynamic.EdgeSet.__mro__[1] is core.StructureSet.__mro__[1] is core.UniverseSet
+    assert not hasattr(core.StructureSet, "full")
 
 
 def _functions_using(path, name):
