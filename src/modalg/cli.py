@@ -34,6 +34,15 @@ def _load_spec(path: str) -> SpecFile:
     return spec
 
 
+def _definition(spec: SpecFile, sort: str, name: str):
+    """The spec's definition named name among those of the sort ("flat",
+    "dyn" or "state")."""
+    defs = getattr(spec, f"{sort}_defs")
+    if name not in defs:
+        raise ModalgError(f"no {sort} definition named {name}")
+    return defs[name]
+
+
 def _parse_binding(text: str) -> RelationValue:
     parser = _Parser(tokenize(text))
     const = parser.parse_relation_literal()
@@ -91,10 +100,9 @@ def _print_structures(structures) -> int:
 
 def _cmd_eval_flat(args) -> int:
     spec = _load_spec(args.spec)
-    if args.expr not in spec.flat_defs:
-        raise ModalgError(f"no flat definition named {args.expr}")
+    e = _definition(spec, "flat", args.expr)
     universe = build_universe(spec.domain, spec.vocabulary, args.cap)
-    result = eval_flat(spec.flat_defs[args.expr], spec.valuation(), universe)
+    result = eval_flat(e, spec.valuation(), universe)
     for i in result.indices():
         print(f"{i}\t{universe.structure_at(i).describe()}")
     return 0
@@ -102,10 +110,9 @@ def _cmd_eval_flat(args) -> int:
 
 def _cmd_eval_dyn(args) -> int:
     spec = _load_spec(args.spec)
-    if args.expr not in spec.dyn_defs:
-        raise ModalgError(f"no dyn definition named {args.expr}")
+    a = _definition(spec, "dyn", args.expr)
     universe = build_universe(spec.domain, spec.vocabulary, args.cap)
-    result = eval_dyn(spec.dyn_defs[args.expr], spec.valuation(), universe)
+    result = eval_dyn(a, spec.valuation(), universe)
     for i, j in sorted(result.pairs()):
         print(f"{i} -> {j}")
     return 0
@@ -113,10 +120,9 @@ def _cmd_eval_dyn(args) -> int:
 
 def _cmd_eval_state(args) -> int:
     spec = _load_spec(args.spec)
-    if args.expr not in spec.state_defs:
-        raise ModalgError(f"no state definition named {args.expr}")
+    phi = _definition(spec, "state", args.expr)
     universe = build_universe(spec.domain, spec.vocabulary, args.cap)
-    result = eval_state(spec.state_defs[args.expr], spec.valuation(), universe)
+    result = eval_state(phi, spec.valuation(), universe)
     for i in result.indices():
         print(f"{i}\t{universe.structure_at(i).describe()}")
     return 0
@@ -124,18 +130,15 @@ def _cmd_eval_state(args) -> int:
 
 def _cmd_translate(args) -> int:
     spec = _load_spec(args.spec)
-    if args.expr not in spec.state_defs:
-        raise ModalgError(f"no state definition named {args.expr}")
-    print(to_text(translate_two_sorted(spec.state_defs[args.expr])))
+    print(to_text(translate_two_sorted(_definition(spec, "state", args.expr))))
     return 0
 
 
 def _cmd_export_dot(args) -> int:
     spec = _load_spec(args.spec)
-    if args.expr not in spec.dyn_defs:
-        raise ModalgError(f"no dyn definition named {args.expr}")
+    a = _definition(spec, "dyn", args.expr)
     universe = build_universe(spec.domain, spec.vocabulary, args.cap)
-    ts, _ = collect_stats(spec.dyn_defs[args.expr], spec.valuation(), universe)
+    ts, _ = collect_stats(a, spec.valuation(), universe)
     export_dot(ts, args.output)
     if args.json:
         export_json(ts, args.json)
@@ -144,10 +147,9 @@ def _cmd_export_dot(args) -> int:
 
 def _cmd_stats(args) -> int:
     spec = _load_spec(args.spec)
-    if args.expr not in spec.dyn_defs:
-        raise ModalgError(f"no dyn definition named {args.expr}")
+    a = _definition(spec, "dyn", args.expr)
     universe = build_universe(spec.domain, spec.vocabulary, args.cap)
-    _, stats = collect_stats(spec.dyn_defs[args.expr], spec.valuation(), universe)
+    _, stats = collect_stats(a, spec.valuation(), universe)
     if args.json:
         print(json.dumps(stats.to_json(), indent=1, sort_keys=True))
     else:
@@ -155,24 +157,29 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+# the sort of the definition each task kind reads
+_TASK_SORTS = {"mc": "flat", "mx": "flat", "ev": "flat", "equiv": "flat",
+              "temp-mc": "state", "temp-sat": "state", "reach": "dyn"}
+
+
 def _run_task(spec: SpecFile, directive: TaskDirective, cap: int) -> int:
     valuation = spec.valuation()
     kind = directive.kind
+    if kind not in _TASK_SORTS:
+        raise ModalgError(f"unknown task kind {kind!r}")
+    e = _definition(spec, _TASK_SORTS[kind], directive.formula)
     if kind == "mc":
-        e = spec.flat_defs[directive.formula]
         structure = _structure_from_bindings(spec, directive.bindings)
         ok = tasks.mc(e, structure, valuation)
         print("yes" if ok else "no")
         return 0 if ok else 1
     if kind == "mx":
-        e = spec.flat_defs[directive.formula]
         sigma_syms = sorted(directive.sigma)
         structure = _structure_from_bindings(spec, directive.bindings, sigma_syms)
         expansions = tasks.mx(e, directive.sigma, structure, valuation, spec.vocabulary)
         count = _print_structures(expansions)
         return 0 if count else 1
     if kind == "ev":
-        e = spec.flat_defs[directive.formula]
         sigma_syms = sorted(directive.sigma)
         structure = _structure_from_bindings(spec, directive.bindings, sigma_syms)
         witness = tasks.ev(
@@ -184,38 +191,33 @@ def _run_task(spec: SpecFile, directive: TaskDirective, cap: int) -> int:
         print(witness.describe())
         return 0
     if kind == "temp-mc":
-        phi = spec.state_defs[directive.formula]
         structure = _structure_from_bindings(spec, directive.bindings)
         universe = build_universe(spec.domain, spec.vocabulary, cap)
-        ok = tasks.temp_mc(phi, structure, valuation, universe)
+        ok = tasks.temp_mc(e, structure, valuation, universe)
         print("yes" if ok else "no")
         return 0 if ok else 1
     if kind == "temp-sat":
-        phi = spec.state_defs[directive.formula]
-        witness = tasks.temp_sat_prop(phi, valuation)
+        witness = tasks.temp_sat_prop(e, valuation)
         if witness is None:
             print("no")
             return 1
         print(witness[1].describe())
         return 0
     if kind == "reach":
-        a = spec.dyn_defs[directive.formula]
         structure = _structure_from_bindings(spec, directive.bindings)
         universe = build_universe(spec.domain, spec.vocabulary, cap)
-        ok = tasks.reach(a, structure, directive.outputs, valuation, universe)
+        ok = tasks.reach(e, structure, directive.outputs, valuation, universe)
         print("yes" if ok else "no")
         return 0 if ok else 1
-    if kind == "equiv":
-        e = spec.flat_defs[directive.formula]
-        sigma_syms = sorted(directive.sigma)
-        structure = _structure_from_bindings(spec, directive.bindings, sigma_syms)
-        report = tasks.equivalence_check(
-            e, directive.sigma, structure, directive.outputs, valuation,
-            spec.vocabulary, cap
-        )
-        print(report.summary())
-        return 0 if report.passed else 1
-    raise ModalgError(f"unknown task kind {kind!r}")
+    # equiv
+    sigma_syms = sorted(directive.sigma)
+    structure = _structure_from_bindings(spec, directive.bindings, sigma_syms)
+    report = tasks.equivalence_check(
+        e, directive.sigma, structure, directive.outputs, valuation,
+        spec.vocabulary, cap
+    )
+    print(report.summary())
+    return 0 if report.passed else 1
 
 
 def _cmd_task(args) -> int:

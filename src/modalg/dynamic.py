@@ -23,8 +23,8 @@ image function of state sets, lmumu.image, backward (side 0, the sources)
 or forward (side 1, the targets), reading forms and stars as fixed points
 of state sets, and come here only for the operators the image cannot
 follow. dn, up and neg take the same image of their operand's pairs, from
-every state (indexsets.image). Binary fixed points run in the shared loop
-of flat.EvalContext.fixpoint: semi-naive for a body linear in its variable
+every state (indexsets.image). Binary fixed points run in the shared loop,
+flat._rounds: semi-naive for a body linear in its variable
 (a star's `diag | Z ; a` composes only each round's new pairs), with the
 body's closed subterms (the star's `diag` and `a`) built once.
 """

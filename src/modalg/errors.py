@@ -39,7 +39,13 @@ class UnmappedVariable(ModalgError):
 
 
 class NonMonotoneDetected(ModalgError):
-    """Defensive: a least-fixed-point iteration step shrank the set."""
+    """Defensive: a least-fixed-point iteration step shrank the set.
+
+    Raised during an evaluation, `node` is the Lfp node whose round shrank
+    the set and the message ends with its label.
+    """
+
+    node = None
 
 
 class IllegalSelect(ModalgError):

@@ -7,12 +7,21 @@ import time
 from dataclasses import dataclass, field
 from .core import Universe, Valuation
 from .dynamic import ProcExpr, TransitionSystem, build_transition_system
-from .errors import ModalgError
+from .errors import CapExceeded, ModalgError
 from .flat import EvalStats
 
 
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _pairs(ts: TransitionSystem, key: str) -> list[tuple[int, int]]:
+    """The pairs of label key, ascending; a CapExceeded names the label."""
+    try:
+        return sorted(ts.edges[key].pairs())
+    except CapExceeded as exc:
+        exc.args = (f"{exc} (in: {key})",)
+        raise
 
 
 def render_dot(ts: TransitionSystem) -> str:
@@ -23,8 +32,7 @@ def render_dot(ts: TransitionSystem) -> str:
         label = _dot_escape(ts.universe.structure_at(i).describe())
         lines.append(f'  {i} [label="{label}"];')
     for key in ts.order:
-        edge_set = ts.edges[key]
-        for i, j in sorted(edge_set.pairs()):
+        for i, j in _pairs(ts, key):
             lines.append(f'  {i} -> {j} [label="{_dot_escape(key)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -53,7 +61,7 @@ def ts_to_json(ts: TransitionSystem) -> dict:
         "domain": list(universe.domain.elements),
         "vocab": [[n, a] for n, a in universe.vocabulary.symbols],
         "structures": structures,
-        "edges": {key: sorted([list(p) for p in ts.edges[key].pairs()]) for key in ts.order},
+        "edges": {key: [list(p) for p in _pairs(ts, key)] for key in ts.order},
     }
 
 

@@ -9,10 +9,11 @@ propagation lives on the atoms (dynamic.Action), not on the operators.
 Evaluation is explicit-state: extensions are subsets of a materializable
 universe, represented as bitmaps over its indices (see indexsets). _eval
 evaluates flat expressions and state formulas alike; the evaluation context
-and the least-fixed-point loop defined here serve all three sorts, and so
-does _shared, the one rule of the operators that mean the same on sets of
-structures and of structure pairs (module variables, union, complement,
-projection, mu).
+defined here serves all three sorts, and so do _shared, the one rule of the
+operators that mean the same on sets of structures and of structure pairs
+(module variables, union, complement, projection, mu), and _rounds, the one
+least-fixed-point loop, naive or semi-naive by the body's plan, which also
+runs lmumu's stars and lfp_iterate.
 """
 
 from __future__ import annotations
@@ -302,30 +303,11 @@ class EvalContext:
         binding = {formal: val.symbol(arg) for (formal, _), arg in zip(module.vvoc, node.args)}
         return extension_index_set(self.universe, module, binding, self.ext_cache)
 
-    def fixpoint(self, node: Node, val: Valuation, evaluate, box) -> IndexSet:
-        """Least fixed point of node.body in node.var. `evaluate` is the
-        sort's evaluator; `box` (StructureSet or EdgeSet) wraps an iterate
-        for binding.
-
-        The body's closed subterms are evaluated once (see _evaluator). A
-        body linear in the variable is iterated semi-naively: each round
-        applies it to the last round's new members only, and what it
-        yields beyond the members found so far is the next delta
-        (Bancilhon & Ramakrishnan, SIGMOD 1986). The round count is the
-        naive loop's; any other body takes the naive loop.
-        """
-        u = self.universe
-
-        def step(current: IndexSet) -> IndexSet:
-            return evaluate(node.body, self, val.bind(node.var, box(u, current)))
-
-        return self.iterate(node, step, box.empty(u).iset)
-
     def iterate(self, node: Node, step, empty: IndexSet) -> IndexSet:
         """Least fixed point of `step` from `empty`, where `step` computes
-        node's body: fixpoint's step, or lmumu's star rule on state sets.
+        node's body: _shared's Lfp rule, or lmumu's star rule on state sets.
         node's plan (is the body linear, which subterms are closed and so
-        hoisted) is made once; the rounds are recorded under node's label.
+        hoisted) is made once, and _rounds runs the rounds under node's label.
         """
         plan = self.plans.get(id(node))
         if plan is None:
@@ -333,31 +315,57 @@ class EvalContext:
             plan = self.plans[id(node)] = (node, linear)
             for sub in closed:
                 self.hoisted.setdefault(id(sub), [sub])
+        linear = plan[1]
         # the rounds ask for the body's closed subterms again, so they keep
         # their values even inside a closed subterm being evaluated
         outer, self.hoisting = self.hoisting, False
         try:
-            return self._iterate(node, step, empty, plan[1])
+            value = _rounds(step, empty, linear, lambda: self.label(node), self.stats, node)
+            if linear and self.record is not None:
+                step(value)  # record every body subformula at its converged value
+            return value
         finally:
             self.hoisting = outer
 
-    def _iterate(self, node: Node, step, empty: IndexSet, linear: bool) -> IndexSet:
-        """iterate's loop: naive, or semi-naive for a linear body."""
-        if not linear:
-            return _lfp_indexsets(step, empty, lambda: self.label(node), self.stats)
-        acc = delta = empty
-        iterations = 0
-        while True:
-            iterations += 1
-            delta = step(delta).difference(acc)
-            if not delta:
-                break
-            acc = acc.union(delta)
-        if self.stats is not None:
-            self.stats.record_fixpoint(self.label(node), iterations)
-        if self.record is not None:
-            step(acc)  # record every body subformula at its converged value
-        return acc
+
+def _rounds(
+    step: Callable[[IndexSet], IndexSet],
+    acc: IndexSet,
+    linear: bool,
+    label: Callable[[], str],
+    stats: Optional[EvalStats],
+    node: Optional[Node] = None,
+) -> IndexSet:
+    """The least fixed point of `step` from the empty set `acc`: the one
+    round loop of every sort.
+
+    A body linear in its variable (see fixpoint_plan) is iterated
+    semi-naively: each round applies it to the last round's new members
+    only, and what it yields beyond the members found so far is the next
+    delta (Bancilhon & Ramakrishnan, SIGMOD 1986). Any other body is applied
+    to all the members found so far, and its result, which must contain
+    them, is the next accumulated set. Both stop after a round that adds
+    nothing, so the round count is the naive loop's. label() names the
+    fixpoint in stats and errors and is called only when one of them needs
+    it; a NonMonotoneDetected carries `node`.
+    """
+    delta = acc
+    iterations = 0
+    while True:
+        iterations += 1
+        out = step(delta if linear else acc)
+        if not (linear or acc.issubset(out)):
+            exc = NonMonotoneDetected(
+                f"fixpoint iteration shrank the set; body is not monotone (in: {label()})")
+            exc.node = node
+            raise exc
+        delta = out.difference(acc)
+        if not delta:
+            break
+        acc = acc.union(delta) if linear else out
+    if stats is not None:
+        stats.record_fixpoint(label(), iterations)
+    return acc
 
 
 def fixpoint_plan(node: Node) -> tuple[bool, list[Node]]:
@@ -372,23 +380,16 @@ def fixpoint_plan(node: Node) -> tuple[bool, list[Node]]:
     """
     free: dict[int, set[str]] = {}
     closed: list[Node] = []
-
-    def scan(sub: Node) -> set[str]:
+    for sub in walk(node.body):  # post-order: a subterm's children come first
         if isinstance(sub, ModuleVar):
             names = {sub.name}
         else:
-            names = set()
-            subs = children(sub)
-            for c in subs:
-                names |= scan(c)
+            names = set().union(*(free[id(c)] for c in children(sub)))
             if isinstance(sub, Lfp):
                 names.discard(sub.var)
         if not names:
             closed.append(sub)
         free[id(sub)] = names
-        return names
-
-    scan(node.body)
     sub = node.body
     while node.var in free[id(sub)] and not isinstance(sub, ModuleVar):
         holding = [c for c in children(sub) if node.var in free[id(c)]]
@@ -496,29 +497,6 @@ def _check_injective(e: FlatExpr, valuation: Valuation) -> None:
         by_symbol[sym] = var
 
 
-def _lfp_indexsets(
-    f: Callable[[IndexSet], IndexSet],
-    current: IndexSet,
-    label: Callable[[], str],
-    stats: Optional[EvalStats],
-) -> IndexSet:
-    """Iterate f from the empty set `current`; label() names the fixpoint in
-    stats and errors and is called only when one of them needs it."""
-    iterations = 0
-    while True:
-        iterations += 1
-        nxt = f(current)
-        if not current.issubset(nxt):
-            raise NonMonotoneDetected(
-                f"fixpoint iteration for {label()} shrank the set; body is not monotone"
-            )
-        if nxt.issubset(current):
-            if stats is not None:
-                stats.record_fixpoint(label(), iterations)
-            return current
-        current = nxt
-
-
 def eval_flat(
     e: FlatExpr,
     valuation: Valuation,
@@ -539,8 +517,9 @@ SHARED = (ModuleVar, Union, Complement, Project, Lfp)
 
 def _shared(e: Node, ctx: EvalContext, val: Valuation, evaluate, box):
     """The one rule of SHARED for sets of structures and of structure pairs,
-    given the sort's evaluator and set class (StructureSet or EdgeSet), as
-    ctx.fixpoint is. A pair projection forgets bits in both components."""
+    given the sort's evaluator and set class (StructureSet or EdgeSet), which
+    wraps a fixpoint's iterate for binding. A pair projection forgets bits
+    in both components."""
     if isinstance(e, ModuleVar):
         value = val.env.get(e.name)
         if not isinstance(value, box):
@@ -551,10 +530,11 @@ def _shared(e: Node, ctx: EvalContext, val: Valuation, evaluate, box):
         return evaluate(e.left, ctx, val).union(evaluate(e.right, ctx, val))
     if isinstance(e, Complement):
         return evaluate(e.inner, ctx, val).complement()
+    u = ctx.universe
     if isinstance(e, Project):
-        u = ctx.universe
         return evaluate(e.inner, ctx, val).project(u.full_mask & ~u.mask(map(val.symbol, e.keep)))
-    return ctx.fixpoint(e, val, evaluate, box)
+    return ctx.iterate(e, lambda current: evaluate(e.body, ctx, val.bind(e.var, box(u, current))),
+                       box.empty(u).iset)
 
 
 @_evaluator
@@ -603,4 +583,4 @@ def lfp_iterate(
         return f(StructureSet(universe, iset)).iset
 
     empty = IndexSet(universe.size)
-    return StructureSet(universe, _lfp_indexsets(step, empty, lambda: label, stats))
+    return StructureSet(universe, _rounds(step, empty, False, lambda: label, stats))

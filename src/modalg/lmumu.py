@@ -18,7 +18,7 @@ pairs; only the form rule, composition's order, selections and the
 diagonals read the side.
 Every other operator goes through one fallback, which builds a's pairs
 (dynamic._eval_dyn) and takes their image (indexsets.image). State fixed
-points share flat.EvalContext.fixpoint: `mu X . goal | <a> X` is linear in X
+points share flat._rounds: `mu X . goal | <a> X` is linear in X
 and iterated on each round's new states only.
 """
 

@@ -198,8 +198,10 @@ def test_non_monotone_body_refused(pq, sort):
     negate = {"flat": F.Complement, "dyn": D.Complement, "state": S.Not}[sort]
     node = lfp("Y", negate(ref("Y")))
     assert fixpoint_plan(node)[0] is False
-    with pytest.raises(NonMonotoneDetected):
+    with pytest.raises(NonMonotoneDetected) as caught:
         evaluate(node, val, u)
+    assert caught.value.node is node
+    assert str(caught.value).count(to_text(node)) == 1
 
 
 def test_closed_process_under_modality_built_once(monkeypatch):

@@ -281,8 +281,10 @@ class TestLfpIterate:
 
     def test_non_monotone_detected(self, pq):
         _, _, u, _ = pq
-        with pytest.raises(NonMonotoneDetected):
-            lfp_iterate(lambda s: s.complement(), u)
+        with pytest.raises(NonMonotoneDetected, match="body is not monotone") as caught:
+            lfp_iterate(lambda s: s.complement(), u, label="flip")
+        assert caught.value.node is None
+        assert str(caught.value).count("flip") == 1
 
 
 class TestFoLfpCollapse:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from _gen import random_proc_with_tests, random_state, random_flat
+from _gen import random_proc_with_tests, random_state, random_flat, three_element_setup
 from modalg import dynamic as D
 from modalg import flat as F
 from modalg import lmumu as S
@@ -14,7 +14,7 @@ from modalg.cli import main
 from modalg.core import Domain, Vocabulary, build_universe
 from modalg.dynamic import build_transition_system, eval_dyn
 from modalg.export import render_dot, ts_to_json
-from modalg.errors import SpecSyntaxError
+from modalg.errors import CapExceeded, SpecSyntaxError
 from modalg.lmumu import eval_state
 from modalg.parser import parse_dyn, parse_flat, parse_spec, parse_state
 from modalg.printer import to_text
@@ -170,6 +170,17 @@ class TestCli:
     def test_error_exit_two(self, demo_spec, capsys):
         assert main(["eval-flat", demo_spec, "-e", "missing"]) == 2
         assert "error" in capsys.readouterr().err
+        # a missing definition, and one of another sort than the task reads
+        wrong = Path(demo_spec).with_name("wrong.mod")
+        wrong.write_text(DEMO + "task wrong = reach canfill with { P: {} } out { P: {(a)} };\n",
+                         encoding="utf-8")
+        for argv, message in (
+            (["task", demo_spec, "--kind", "mc", "--formula", "nosuch"],
+             "no flat definition named nosuch"),
+            (["task", str(wrong), "--name", "wrong"], "no dyn definition named canfill"),
+        ):
+            assert main(argv) == 2
+            assert f"error: {message}" in capsys.readouterr().err
 
     def test_stats(self, demo_spec, capsys):
         assert main(["stats", demo_spec, "-e", "setp"]) == 0
@@ -278,6 +289,14 @@ class TestExports:
         assert doc["vocab"] == [["P", 1], ["Q", 1]]
         assert len(doc["structures"]) == 16
         assert len(doc["edges"]["FullP(out P)"]) == 16
+
+    def test_cap_exceeded_names_the_label(self):
+        # a complemented test labels nearly all 2^24 pairs of 4,096 states
+        domain, vocab, val = three_element_setup()
+        ts = build_transition_system(parse_dyn("-FullP(P)?"), val, build_universe(domain, vocab))
+        for export in (render_dot, ts_to_json):
+            with pytest.raises(CapExceeded, match=r"\(in: -FullP\(P\)\?\)$"):
+                export(ts)
 
     def test_stats_edge_counts_match(self, pq):
         from modalg.export import collect_stats

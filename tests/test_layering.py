@@ -7,10 +7,10 @@ the budget itself, and none lists the submasks of a bitmask. None knows
 the pair code either: pair sets are built from and read as (i, j) pairs,
 and take state masks.
 
-The atom rule, the action normal form of the process evaluators and the
-task layer's choice of search are likewise in one function each, and the
-image of a state set under a process, in either direction, falls back to
-pair sets in one function.
+The atom rule, the action normal form of the process evaluators, the
+fixed-point rounds of every sort and the task layer's choice of search are
+likewise in one function each, and the image of a state set under a
+process, in either direction, falls back to pair sets in one function.
 """
 
 import ast
@@ -107,6 +107,26 @@ def test_one_atom_rule():
         for function in _functions_using(path, "extension_index_set")
     }
     assert len(callers) == 1, callers
+
+
+def test_one_fixpoint_loop():
+    """One function of flat.py runs the least-fixed-point rounds, naive and
+    semi-naive alike, for Lfp nodes of every sort, lmumu's stars and
+    lfp_iterate: it alone checks monotonicity and records the round count.
+    fixpoint_plan reads the body through syntax.walk."""
+    from modalg import flat
+
+    path = _source("flat.py")
+    raising = _functions_using(path, "NonMonotoneDetected")
+    recording = _functions_using(path, "record_fixpoint")
+    assert len(raising) == 1 and raising == recording, (raising, recording)
+    assert not hasattr(flat, "_lfp_indexsets")
+    assert not [name for name in ("_iterate", "fixpoint") if hasattr(flat.EvalContext, name)]
+    plan = next(node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "fixpoint_plan")
+    assert not [node for node in ast.walk(plan) if node is not plan
+                and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    assert "fixpoint_plan" in _functions_using(path, "walk")
 
 
 def test_one_model_search_fork():
