@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from _gen import random_proc_with_tests, random_state, random_flat, three_element_setup
+from _gen import (random_any_proc, random_flat, random_proc_with_tests, random_state,
+                  three_element_setup)
 from modalg import dynamic as D
 from modalg import flat as F
 from modalg import lmumu as S
@@ -18,6 +19,7 @@ from modalg.errors import CapExceeded, SpecSyntaxError
 from modalg.lmumu import eval_state
 from modalg.parser import parse_dyn, parse_flat, parse_spec, parse_state
 from modalg.printer import to_text
+from modalg.syntax import walk
 
 DEMO = """
 domain {a, b};
@@ -96,6 +98,59 @@ class TestParseExamples:
         )
 
 
+# malformed inputs, with the error each one raises: (parser, text, line,
+# column, message)
+SYNTAX_ERRORS = [
+    (parse_flat, "pi{} (", 1, 7, "expected 'NAME', found ''"),
+    (parse_dyn, "pi{} (", 1, 7, "expected 'NAME', found ''"),
+    (parse_state, "pi{} (", 1, 1, "unexpected keyword 'pi'"),
+    (parse_flat, "sel[P = Q] a", 1, 7, "expected '==', found '='"),
+    (parse_dyn, "sel[P = Q] a", 1, 7, "expected '==', found '='"),
+    (parse_state, "sel[P = Q] a", 1, 1, "unexpected keyword 'sel'"),
+    (parse_flat, "mu X a", 1, 6, "expected '.', found 'a'"),
+    (parse_dyn, "mu X a", 1, 6, "expected '.', found 'a'"),
+    (parse_state, "mu X a", 1, 6, "expected '.', found 'a'"),
+    (parse_flat, "M(P; out Q)", 1, 4, "expected ')', found ';'"),
+    (parse_dyn, "M(P; out Q)", 1, 4, "expected ')', found ';'"),
+    (parse_state, "M(P; out Q)", 1, 2, "expected 'EOF', found '('"),
+    (parse_flat, "const[P = '{(a)}']", 1, 1, "unexpected keyword 'const'"),
+    (parse_dyn, "const[P = '{(a)}']", 1, 9, "expected '==' or '!=' in constant test"),
+    (parse_state, "const[P = '{(a)}']", 1, 1, "unexpected keyword 'const'"),
+    (parse_flat, "a^{1}", 1, 2, "expected 'EOF', found '^'"),
+    (parse_dyn, "a^{1}", 1, 5, "expected ',', found '}'"),
+    (parse_state, "a^{1}", 1, 2, "expected 'EOF', found '^'"),
+    (parse_flat, "a ; !b", 1, 3, "expected 'EOF', found ';'"),
+    (parse_dyn, "a ; !b", 1, 5, "expected 'NAME', found '!'"),
+    (parse_state, "a ; !b", 1, 3, "expected 'EOF', found ';'"),
+    (parse_flat, "prop M", 1, 1, "unexpected keyword 'prop'"),
+    (parse_dyn, "prop M", 1, 1, "unexpected keyword 'prop'"),
+    (parse_state, "prop M", 1, 7, "prop M without arguments needs a declared module"),
+    (parse_flat, "<a phi", 1, 1, "expected 'NAME', found '<'"),
+    (parse_dyn, "<a phi", 1, 1, "expected 'NAME', found '<'"),
+    (parse_state, "<a phi", 1, 4, "expected '>', found 'phi'"),
+    (parse_dyn, "(prop M(P))", 1, 2, "unexpected keyword 'prop'"),
+    (parse_dyn, "M(in P", 1, 7, "expected ')', found ''"),
+    (parse_flat, "dn", 1, 1, "unexpected keyword 'dn'"),
+    (parse_dyn, "dn", 1, 3, "expected 'NAME', found ''"),
+    (parse_state, "-", 1, 1, "expected 'NAME', found '-'"),
+    (parse_spec, "dyn d = a ; ; b;", 1, 13, "expected a declaration keyword, found ';'"),
+    (parse_spec, "module M(X/1) = truth { (1,0) };", 1, 31,
+     "truth pattern must be 1 bits of 0/1"),
+    (parse_spec, "frob x;", 1, 1, "expected a declaration keyword, found 'frob'"),
+    (parse_spec, "state s = prop M;", 1, 17, "prop M without arguments needs a declared module"),
+    (parse_spec, "flat f = M(P)", 1, 14, "expected ';', found ''"),
+]
+
+
+@pytest.mark.parametrize("parse, text, line, column, message", SYNTAX_ERRORS,
+                         ids=[f"{parse.__name__}:{text}" for parse, text, *_ in SYNTAX_ERRORS])
+def test_syntax_error_position(parse, text, line, column, message):
+    with pytest.raises(SpecSyntaxError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"{line}:{column}: {message}", line, column)
+
+
 class TestRoundTrip:
     def test_flat(self):
         rng = random.Random(71)
@@ -114,6 +169,18 @@ class TestRoundTrip:
         for _ in range(60):
             ast = random_state(rng, 3)
             assert parse_state(to_text(ast)) == ast
+
+    def test_any_proc(self):
+        # every process class, among them projections, selections, =/= tests,
+        # constant tests with != and state tests
+        rng = random.Random(74)
+        nodes = []
+        for _ in range(60):
+            ast = random_any_proc(rng, 4)
+            assert parse_dyn(to_text(ast)) == ast
+            nodes += walk(ast)
+        assert {D.Project, D.Select, D.TestNeq, D.StateTest} <= {type(node) for node in nodes}
+        assert any(isinstance(node, D.ConstTest) and not node.equal for node in nodes)
 
 
 @pytest.fixture
@@ -170,7 +237,8 @@ class TestCli:
     def test_error_exit_two(self, demo_spec, capsys):
         assert main(["eval-flat", demo_spec, "-e", "missing"]) == 2
         assert "error" in capsys.readouterr().err
-        # a missing definition, and one of another sort than the task reads
+        # a missing definition, one of another sort than the task reads, and a
+        # malformed binding
         wrong = Path(demo_spec).with_name("wrong.mod")
         wrong.write_text(DEMO + "task wrong = reach canfill with { P: {} } out { P: {(a)} };\n",
                          encoding="utf-8")
@@ -178,6 +246,8 @@ class TestCli:
             (["task", demo_spec, "--kind", "mc", "--formula", "nosuch"],
              "no flat definition named nosuch"),
             (["task", str(wrong), "--name", "wrong"], "no dyn definition named canfill"),
+            (["task", demo_spec, "--kind", "mc", "--formula", "same", "--bind", "P={(a)"],
+             "1:5: expected '}', found ''"),
         ):
             assert main(argv) == 2
             assert f"error: {message}" in capsys.readouterr().err

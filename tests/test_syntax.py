@@ -112,6 +112,26 @@ def test_print_parse_round_trip(sort, node, kids):
     assert sort[2](to_text(node)) == node
 
 
+# the canonical text of each sample, in SAMPLES order
+TEXTS = [
+    "bot", "M(P)", "Z", "M(P) | bot", "-M(P)", "pi{P} M(P)", "sel[P == '{(a)}'] M(P)",
+    "mu Z . M(P)",
+    "bot", "M(P)?", "M(in P; out Q)", "Z", "M(P)? | M(in P; out Q)", "-M(P)?",
+    "pi{P} M(in P; out Q)", "sel[P == '{(a)}'] M(P)?", "mu Z . M(P)?", "dn M(in P; out Q)",
+    "up M(in P; out Q)", "neg M(in P; out Q)", "diag", "M(in P; out Q) ; M(P)?",
+    "M(in P; out Q)^{1,2}", "rev M(in P; out Q)", "M(in P; out Q)=?", "M(in P; out Q)!=?",
+    "const[P != '{(a)}']", "(prop M(P))?",
+    "bot", "prop M(P)", "X", "prop M(P) | X", "!prop M(P)", "prop M(P) & X",
+    "<M(in P; out Q)> prop M(P)", "[M(in P; out Q)] prop M(P)", "mu X . prop M(P)",
+]
+
+
+@pytest.mark.parametrize("node, text", [(node, text) for (_, node, _), text
+                                        in zip(SAMPLES, TEXTS, strict=True)], ids=IDS)
+def test_printed_text(node, text):
+    assert to_text(node) == text
+
+
 def test_walk_is_postorder_and_stops_at_other_sorts():
     a = D.Compose(ACT, D.StateTest(S.Diamond(PT, SP)))
     assert list(walk(a, within_sort=True)) == [ACT, a.right, a]
