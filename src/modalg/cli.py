@@ -18,7 +18,7 @@ from .export import collect_stats, export_dot, export_json
 from .flat import eval_flat
 from .dynamic import eval_dyn
 from .lmumu import eval_state, translate_two_sorted
-from .parser import SpecFile, TaskDirective, parse_spec, tokenize, _Parser
+from .parser import SpecFile, TaskDirective, parse_relation, parse_spec
 from .printer import to_text
 
 
@@ -43,21 +43,13 @@ def _definition(spec: SpecFile, sort: str, name: str):
     return defs[name]
 
 
-def _parse_binding(text: str) -> RelationValue:
-    parser = _Parser(tokenize(text))
-    const = parser.parse_relation_literal()
-    parser.expect("EOF")
-    arity = const.arity if const.arity is not None else 1
-    return RelationValue(arity, const.tuples)
-
-
 def _bindings_from_args(pairs: list[str]) -> dict[str, RelationValue]:
     out: dict[str, RelationValue] = {}
     for item in pairs or []:
         if "=" not in item:
             raise ModalgError(f"binding {item!r} is not of the form NAME={{...}}")
         name, _, literal = item.partition("=")
-        out[name.strip()] = _parse_binding(literal.strip())
+        out[name.strip()] = parse_relation(literal.strip())
     return out
 
 

@@ -3,7 +3,7 @@ fixed points, the derived operations, and transition-system construction.
 
 The operators this sort shares with the flat algebra (bot, module
 variables, union, complement, projection, selection, mu, and the sugar
-intersect/minus) are flat's classes, re-exported here; the direction of
+intersect) are flat's classes, re-exported here; the direction of
 information propagation is on the atoms alone (Action's inputs and
 outputs). This module declares only the process-only nodes, and evaluates
 only them, atoms and selection: module variables, union, complement,
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Optional
 from .core import Universe, UniverseSet, Valuation, values_index_set
 from .errors import CapExceeded, IllegalSelect, UnboundModuleVar, WellformednessError
 # the operators shared with the flat algebra, re-exported
-from .flat import Bottom, Complement, Lfp, ModuleVar, Project, Select, Union, intersect, minus
+from .flat import Bottom, Complement, Lfp, ModuleVar, Project, Select, Union, intersect
 from .flat import SHARED, Const, EvalContext, EvalStats, ProcExpr, StateExpr, Var
 from .flat import _eval, _evaluator, _select_filter, _shared
 from .indexsets import IndexSet, PairSet, compose, image, inertia, restrict

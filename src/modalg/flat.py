@@ -148,11 +148,6 @@ def intersect(left: Node, right: Node) -> Node:
     return Complement(Union(Complement(left), Complement(right)))
 
 
-def minus(left: Node, right: Node) -> Node:
-    """Parser sugar, in both sorts: a \\ b = -(-a | b)."""
-    return Complement(Union(Complement(left), right))
-
-
 # ---------------------------------------------------------------------------
 # Static analysis
 

@@ -1,5 +1,13 @@
-"""Surface syntax: tokenizer and recursive-descent parser for spec files
+"""Surface syntax: tokenizer and precedence-climbing parser for spec files
 and for the three expression sorts.
+
+The operators come from one table, printer.OPERATORS, which the printer
+reads too (Pratt, Top down operator precedence, POPL 1973): parse_expr
+climbs a sort's infix rows, and parse_unary reads its prefix rows, or a
+primary and its postfix rows, reading each row's text around the holes for
+the node's other fields. parse_primary reads the leaves by hand. A
+parenthesised process may be a state test, (phi)?: that is tried first,
+once per position.
 
 Declarations end with ';'. Sequential composition also uses ';', inside
 expressions: the parser disambiguates with one token of lookahead, since a
@@ -11,12 +19,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from . import dynamic, flat, lmumu
 from .core import AtomicModule, Domain, RelationValue, Valuation, Vocabulary
-from .errors import SpecSyntaxError
+from .errors import ModalgError, SpecSyntaxError
+from .printer import INFIX, OPERATORS, POSTFIX, PREFIX, Operator
 from .syntax import Node
+
+T = TypeVar("T")
 
 KEYWORDS = {
     "domain", "vocab", "module", "flat", "dyn", "state", "task",
@@ -103,9 +114,14 @@ class SpecFile:
         return Valuation(self.domain, {}, dict(self.modules))
 
 
-_EXPR_START_OPS = {"(", "-", "!", "<", "["}
-_EXPR_START_NAMES = {"dn", "up", "neg", "rev", "diag", "bot", "mu", "pi", "sel",
-                     "const", "prop"}
+# the tokens that start an expression: the prefix operators' and the leaves'
+_EXPR_START = {row.token for row in OPERATORS if row.fixity == PREFIX} | {
+    "(", "bot", "diag", "const", "prop"}
+# the parser names each sort by the keyword of its definitions
+_SORTS = {"flat": flat.FlatExpr, "dyn": flat.ProcExpr, "state": flat.StateExpr}
+_ROWS = {(sort, fixity): {row.token: row for row in OPERATORS
+                          if row.fixity == fixity and base in row.sorts}
+         for sort, base in _SORTS.items() for fixity in (PREFIX, INFIX, POSTFIX)}
 
 
 class _Parser:
@@ -113,6 +129,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.spec = spec if spec is not None else SpecFile()
+        # start position -> (the (phi)? test there or None, its end position)
+        self.state_tests: dict[int, tuple[Optional[dynamic.StateTest], int]] = {}
 
     # -- token plumbing
 
@@ -145,13 +163,11 @@ class _Parser:
         tok = self.peek()
         return SpecSyntaxError(message, tok.line, tok.column)
 
-    def starts_expression(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("CONST",):
-            return False
+    def starts_expression(self, offset: int = 0) -> bool:
+        tok = self.peek(offset)
         if tok.kind == "NAME":
-            return tok.value in _EXPR_START_NAMES or tok.value not in KEYWORDS
-        return tok.kind == "OP" and tok.value in _EXPR_START_OPS
+            return tok.value in _EXPR_START or tok.value not in KEYWORDS
+        return tok.kind == "OP" and tok.value in _EXPR_START
 
     # -- shared literals
 
@@ -164,6 +180,9 @@ class _Parser:
 
     def parse_name(self) -> str:
         return self.expect("NAME").value
+
+    def parse_int(self) -> int:
+        return int(self.expect("INT").value)
 
     def parse_name_list(self) -> list[str]:
         self.expect("OP", "{")
@@ -183,151 +202,79 @@ class _Parser:
         self.expect("OP", "}")
         return flat.Const.of(tuples)
 
+    def parse_relation(self) -> RelationValue:
+        """A relation literal as a value: '{}' has arity 1."""
+        const = self.parse_relation_literal()
+        return RelationValue(1 if const.arity is None else const.arity, const.tuples)
+
     def parse_const_token(self) -> flat.Const:
-        tok = self.expect("CONST")
-        sub = _Parser(tokenize(tok.value))
-        const = sub.parse_relation_literal()
-        sub.expect("EOF")
-        return const
+        return _parse_whole(self.expect("CONST").value, _Parser.parse_relation_literal)
 
     def parse_operand(self) -> flat.Operand:
         if self.check("CONST"):
             return self.parse_const_token()
         return flat.Var(self.expect("NAME").value)
 
-    # -- flat expressions
+    # -- expressions: one precedence climber over printer.OPERATORS
 
-    def parse_flat(self) -> flat.FlatExpr:
-        left = self.parse_flat_inter()
-        while self.accept("OP", "|"):
-            left = flat.Union(left, self.parse_flat_inter())
-        return left
+    def _row(self, sort: str, fixity: str) -> Optional[Operator]:
+        """The sort's operator of this fixity whose token is next; a quoted constant is none."""
+        tok = self.peek()
+        return None if tok.kind == "CONST" else _ROWS[sort, fixity].get(tok.value)
 
-    def parse_flat_inter(self) -> flat.FlatExpr:
-        left = self.parse_flat_unary()
-        while self.accept("OP", "&"):
-            left = flat.intersect(left, self.parse_flat_unary())
-        return left
-
-    def parse_shared_prefix(
-        self, unary: Callable[[], Node], body: Callable[[], Node]
-    ) -> Optional[Node]:
-        """The prefix operators of the flat and process sorts: -, pi, sel and
-        mu, in the sort whose `unary` parses an operand and whose `body`
-        parses a fixpoint body. None when none of them is next."""
-        if self.accept("OP", "-"):
-            return flat.Complement(unary())
-        if self.accept("NAME", "pi"):
-            keep = frozenset(self.parse_name_list())
-            return flat.Project(keep, unary())
-        if self.accept("NAME", "sel"):
-            self.expect("OP", "[")
-            left = self.parse_operand()
-            self.expect("OP", "==")
-            right = self.parse_operand()
-            self.expect("OP", "]")
-            return flat.Select(left, right, unary())
-        if self.accept("NAME", "mu"):
-            var = self.parse_name()
-            self.expect("OP", ".")
-            return flat.Lfp(var, body())
-        return None
-
-    def parse_flat_unary(self) -> flat.FlatExpr:
-        expr = self.parse_shared_prefix(self.parse_flat_unary, self.parse_flat)
-        return self.parse_flat_primary() if expr is None else expr
-
-    def parse_flat_primary(self) -> flat.FlatExpr:
-        if self.accept("OP", "("):
-            inner = self.parse_flat()
-            self.expect("OP", ")")
-            return inner
-        if self.check("NAME", "bot"):
-            self.advance()
-            return flat.Bottom()
-        tok = self.expect("NAME")
-        if tok.value in KEYWORDS:
-            raise SpecSyntaxError(f"unexpected keyword {tok.value!r}", tok.line, tok.column)
-        if self.accept("OP", "("):
-            args = self.parse_items(self.parse_name)
-            self.expect("OP", ")")
-            return flat.Atom(tok.value, tuple(args))
-        if tok.value in self.spec.flat_defs:
-            return self.spec.flat_defs[tok.value]
-        return flat.ModuleVar(tok.value)
-
-    # -- dynamic expressions
-
-    def parse_dyn(self) -> dynamic.ProcExpr:
-        left = self.parse_dyn_seq()
-        while self.accept("OP", "|"):
-            left = flat.Union(left, self.parse_dyn_seq())
-        return left
-
-    def parse_dyn_seq(self) -> dynamic.ProcExpr:
-        left = self.parse_dyn_unary()
+    def parse_expr(self, sort: str, level: int) -> Node:
+        """An expression of the sort, joined by infix operators that bind at
+        level or tighter. A ';' not followed by an expression ends the
+        declaration, so it is left unread."""
+        left = self.parse_unary(sort)
         while True:
-            if self.check("OP", ";") and self._compose_ahead():
-                self.advance()
-                left = dynamic.Compose(left, self.parse_dyn_unary())
-            elif self.accept("OP", "&"):
-                left = flat.intersect(left, self.parse_dyn_unary())
-            else:
+            row = self._row(sort, INFIX)
+            if row is None or row.power < level or (
+                    row.token == ";" and not self.starts_expression(1)):
                 return left
-
-    def _compose_ahead(self) -> bool:
-        save = self.pos
-        self.pos += 1
-        ahead = self.starts_expression()
-        self.pos = save
-        return ahead
-
-    def parse_dyn_unary(self) -> dynamic.ProcExpr:
-        expr = self.parse_shared_prefix(self.parse_dyn_unary, self.parse_dyn)
-        if expr is not None:
-            return expr
-        for keyword, ctor in (("dn", dynamic.Down), ("up", dynamic.Up),
-                              ("neg", dynamic.UnaryNeg), ("rev", dynamic.Reverse)):
-            if self.accept("NAME", keyword):
-                return ctor(self.parse_dyn_unary())
-        return self.parse_dyn_postfix()
-
-    def parse_dyn_postfix(self) -> dynamic.ProcExpr:
-        expr = self.parse_dyn_primary()
-        while True:
-            if self.accept("OP", "*"):
-                expr = dynamic.kleene_star(expr)
-            elif self.check("OP", "^"):
-                self.advance()
-                self.expect("OP", "{")
-                low = int(self.expect("INT").value)
-                self.expect("OP", ",")
-                high = int(self.expect("INT").value)
-                self.expect("OP", "}")
-                expr = dynamic.Count(expr, low, high)
-            elif self.accept("OP", "=?"):
-                expr = dynamic.TestEq(expr)
-            elif self.accept("OP", "!=?"):
-                expr = dynamic.TestNeq(expr)
-            else:
-                return expr
-
-    def parse_dyn_primary(self) -> dynamic.ProcExpr:
-        if self.check("OP", "("):
-            state_test = self._try_state_test()
-            if state_test is not None:
-                return state_test
             self.advance()
-            inner = self.parse_dyn()
+            left = row.ctor(left, self.parse_expr(sort, row.power + 1))
+
+    def parse_unary(self, sort: str) -> Node:
+        """A prefix operator and its operand, or a primary and its postfix
+        operators: postfix binds tighter, so `dn a*` is `dn (a*)`."""
+        row = self._row(sort, PREFIX)
+        if row is not None:
+            self.advance()
+            holes = self._parse_holes(row)
+            return row.ctor(*holes, self.parse_expr(sort, row.power))
+        expr = self.parse_primary(sort)
+        while (row := self._row(sort, POSTFIX)) is not None:
+            self.advance()
+            expr = row.ctor(expr, *self._parse_holes(row))
+        return expr
+
+    def _parse_holes(self, row: Operator) -> list:
+        """The row's text after its token: literal tokens, and the holes
+        between them."""
+        holes = []
+        for literal, hole in row.pieces:
+            for value in literal.split():
+                self.expect("OP", value)
+            if hole:
+                holes.append(_HOLES[hole](self))
+        return holes
+
+    def parse_primary(self, sort: str) -> Node:
+        """A leaf, by hand: a group, bot, the sort's own leaves, or a name."""
+        if self.check("OP", "("):
+            test = self._try_state_test() if sort == "dyn" else None
+            if test is not None:
+                return test
+            self.advance()
+            inner = self.parse_expr(sort, 0)
             self.expect("OP", ")")
             return inner
         if self.accept("NAME", "bot"):
             return flat.Bottom()
-        if self.check("NAME", "diag"):
-            self.advance()
+        if sort == "dyn" and self.accept("NAME", "diag"):
             return dynamic.Diagonal()
-        if self.check("NAME", "const"):
-            self.advance()
+        if sort == "dyn" and self.accept("NAME", "const"):
             self.expect("OP", "[")
             var = self.expect("NAME").value
             if self.accept("OP", "=="):
@@ -339,101 +286,7 @@ class _Parser:
             value = self.parse_const_token()
             self.expect("OP", "]")
             return dynamic.ConstTest(var, value, equal)
-        tok = self.expect("NAME")
-        if tok.value in KEYWORDS:
-            raise SpecSyntaxError(f"unexpected keyword {tok.value!r}", tok.line, tok.column)
-        if self.check("OP", "("):
-            return self._parse_atom_tail(tok)
-        if tok.value in self.spec.dyn_defs:
-            return self.spec.dyn_defs[tok.value]
-        return flat.ModuleVar(tok.value)
-
-    def _parse_atom_tail(self, name: Token) -> dynamic.ProcExpr:
-        self.expect("OP", "(")
-        if self.check("NAME", "in") or self.check("NAME", "out"):
-            args: list[str] = []
-            inputs: set[str] = set()
-            marker = None
-            while True:
-                if self.accept("NAME", "in"):
-                    marker = "in"
-                elif self.accept("NAME", "out"):
-                    marker = "out"
-                elif marker is None:
-                    raise self.fail("the first action argument needs an in/out marker")
-                arg = self.expect("NAME").value
-                args.append(arg)
-                if marker == "in":
-                    inputs.add(arg)
-                if self.accept("OP", ",") or self.accept("OP", ";"):
-                    continue
-                break
-            self.expect("OP", ")")
-            argset = frozenset(args)
-            return dynamic.Action(name.value, tuple(args), frozenset(inputs),
-                                  argset - frozenset(inputs))
-        args = self.parse_items(self.parse_name)
-        self.expect("OP", ")")
-        self.expect("OP", "?")  # a plain atom in a process is a test
-        return dynamic.Test(name.value, tuple(args))
-
-    def _try_state_test(self) -> Optional[dynamic.ProcExpr]:
-        from .errors import ModalgError
-
-        save = self.pos
-        try:
-            self.expect("OP", "(")
-            phi = self.parse_state()
-            self.expect("OP", ")")
-            self.expect("OP", "?")
-            return dynamic.StateTest(phi)
-        except ModalgError:
-            self.pos = save
-            return None
-
-    # -- state expressions
-
-    def parse_state(self) -> flat.StateExpr:
-        left = self.parse_state_and()
-        while self.accept("OP", "|"):
-            left = flat.Union(left, self.parse_state_and())
-        return left
-
-    def parse_state_and(self) -> flat.StateExpr:
-        left = self.parse_state_unary()
-        while self.accept("OP", "&"):
-            left = lmumu.And(left, self.parse_state_unary())
-        return left
-
-    def parse_state_unary(self) -> flat.StateExpr:
-        if self.accept("OP", "!"):
-            return lmumu.Not(self.parse_state_unary())
-        if self.check("OP", "<"):
-            self.advance()
-            process = self.parse_dyn()
-            self.expect("OP", ">")
-            return lmumu.Diamond(process, self.parse_state_unary())
-        if self.check("OP", "["):
-            self.advance()
-            process = self.parse_dyn()
-            self.expect("OP", "]")
-            return lmumu.Box(process, self.parse_state_unary())
-        if self.check("NAME", "mu"):
-            self.advance()
-            var = self.expect("NAME").value
-            self.expect("OP", ".")
-            return flat.Lfp(var, self.parse_state())
-        return self.parse_state_primary()
-
-    def parse_state_primary(self) -> flat.StateExpr:
-        if self.accept("OP", "("):
-            inner = self.parse_state()
-            self.expect("OP", ")")
-            return inner
-        if self.accept("NAME", "bot"):
-            return flat.Bottom()
-        if self.check("NAME", "prop"):
-            self.advance()
+        if sort == "state" and self.accept("NAME", "prop"):
             name = self.expect("NAME").value
             if self.accept("OP", "("):
                 args = self.parse_items(self.parse_name)
@@ -446,9 +299,57 @@ class _Parser:
         tok = self.expect("NAME")
         if tok.value in KEYWORDS:
             raise SpecSyntaxError(f"unexpected keyword {tok.value!r}", tok.line, tok.column)
-        if tok.value in self.spec.state_defs:
-            return self.spec.state_defs[tok.value]
+        if sort != "state" and self.check("OP", "("):
+            return self._parse_atom(tok.value, sort)
+        defs = getattr(self.spec, f"{sort}_defs")
+        if tok.value in defs:
+            return defs[tok.value]
         return flat.ModuleVar(tok.value)
+
+    def _parse_atom(self, name: str, sort: str) -> Node:
+        """name(args): a flat atom, or in a process an action, its arguments
+        marked in/out, or a test, M(args)?."""
+        self.expect("OP", "(")
+        if sort == "dyn" and (self.check("NAME", "in") or self.check("NAME", "out")):
+            args: list[str] = []
+            inputs: set[str] = set()
+            while True:  # a marker holds until the next one
+                if self.accept("NAME", "in"):
+                    marker = "in"
+                elif self.accept("NAME", "out"):
+                    marker = "out"
+                arg = self.expect("NAME").value
+                args.append(arg)
+                if marker == "in":
+                    inputs.add(arg)
+                if self.accept("OP", ",") or self.accept("OP", ";"):
+                    continue
+                break
+            self.expect("OP", ")")
+            return dynamic.Action(name, tuple(args), frozenset(inputs), frozenset(args) - inputs)
+        args = self.parse_items(self.parse_name)
+        self.expect("OP", ")")
+        if sort == "flat":
+            return flat.Atom(name, tuple(args))
+        self.expect("OP", "?")  # a plain atom in a process is a test
+        return dynamic.Test(name, tuple(args))
+
+    def _try_state_test(self) -> Optional[dynamic.StateTest]:
+        """(phi)? here, or None with the position unchanged. The attempt is
+        made once per start position, so a group that turns out to be a
+        process is not tried again from each enclosing attempt."""
+        start = self.pos
+        if start not in self.state_tests:
+            try:
+                self.expect("OP", "(")
+                phi = self.parse_expr("state", 0)
+                self.expect("OP", ")")
+                self.expect("OP", "?")
+                self.state_tests[start] = dynamic.StateTest(phi), self.pos
+            except ModalgError:
+                self.state_tests[start] = None, start
+        test, self.pos = self.state_tests[start]
+        return test
 
     # -- declarations
 
@@ -461,9 +362,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "NAME" or tok.value not in _DECL_KEYWORDS:
             raise self.fail(f"expected a declaration keyword, found {tok.value!r}")
-        handler = getattr(self, f"_decl_{tok.value}")
         self.advance()
-        handler()
+        if tok.value in _SORTS:
+            self._decl_definition(tok.value)
+        else:
+            getattr(self, f"_decl_{tok.value}")()
         self.expect("OP", ";")
 
     def _decl_domain(self) -> None:
@@ -482,8 +385,7 @@ class _Parser:
     def _parse_sym(self) -> tuple[str, int]:
         name = self.expect("NAME").value
         self.expect("OP", "/")
-        arity = int(self.expect("INT").value)
-        return name, arity
+        return name, self.parse_int()
 
     def _decl_module(self) -> None:
         name = self.expect("NAME").value
@@ -546,20 +448,11 @@ class _Parser:
             rels.append(given[var].value(arity))
         return rels
 
-    def _decl_flat(self) -> None:
+    def _decl_definition(self, keyword: str) -> None:
+        """flat, dyn or state: NAME = expression of the keyword's sort"""
         name = self.expect("NAME").value
         self.expect("OP", "=")
-        self.spec.flat_defs[name] = self.parse_flat()
-
-    def _decl_dyn(self) -> None:
-        name = self.expect("NAME").value
-        self.expect("OP", "=")
-        self.spec.dyn_defs[name] = self.parse_dyn()
-
-    def _decl_state(self) -> None:
-        name = self.expect("NAME").value
-        self.expect("OP", "=")
-        self.spec.state_defs[name] = self.parse_state()
+        getattr(self.spec, f"{keyword}_defs")[name] = self.parse_expr(keyword, 0)
 
     def _decl_task(self) -> None:
         name = self.expect("NAME").value
@@ -586,13 +479,19 @@ class _Parser:
         while self.check("NAME"):
             name = self.expect("NAME").value
             self.expect("OP", ":")
-            const = self.parse_relation_literal()
-            arity = const.arity if const.arity is not None else 1
-            out[name] = RelationValue(arity, const.tuples)
+            out[name] = self.parse_relation()
             if not self.accept("OP", ","):
                 break
         self.expect("OP", "}")
         return out
+
+
+def _parse_whole(text: str, read: Callable[[_Parser], T], spec: Optional[SpecFile] = None) -> T:
+    """What read parses from the whole of text."""
+    parser = _Parser(tokenize(text), spec)
+    result = read(parser)
+    parser.expect("EOF")
+    return result
 
 
 def parse_spec(text: str) -> SpecFile:
@@ -601,21 +500,30 @@ def parse_spec(text: str) -> SpecFile:
 
 
 def parse_flat(text: str, spec: Optional[SpecFile] = None) -> flat.FlatExpr:
-    parser = _Parser(tokenize(text), spec)
-    expr = parser.parse_flat()
-    parser.expect("EOF")
-    return expr
+    return _parse_whole(text, lambda parser: parser.parse_expr("flat", 0), spec)
 
 
 def parse_dyn(text: str, spec: Optional[SpecFile] = None) -> dynamic.ProcExpr:
-    parser = _Parser(tokenize(text), spec)
-    expr = parser.parse_dyn()
-    parser.expect("EOF")
-    return expr
+    return _parse_whole(text, lambda parser: parser.parse_expr("dyn", 0), spec)
 
 
 def parse_state(text: str, spec: Optional[SpecFile] = None) -> flat.StateExpr:
-    parser = _Parser(tokenize(text), spec)
-    expr = parser.parse_state()
-    parser.expect("EOF")
-    return expr
+    return _parse_whole(text, lambda parser: parser.parse_expr("state", 0), spec)
+
+
+def parse_relation(text: str) -> RelationValue:
+    """A relation literal such as {(a,b),(b,c)}; '{}' has arity 1."""
+    return _parse_whole(text, _Parser.parse_relation)
+
+
+# how each hole of an operator's text is parsed, by field name (printer._HOLES
+# prints them)
+_HOLES: dict[str, Callable[[_Parser], object]] = {
+    "keep": lambda parser: frozenset(parser.parse_name_list()),
+    "left": _Parser.parse_operand,
+    "right": _Parser.parse_operand,
+    "process": lambda parser: parser.parse_expr("dyn", 0),
+    "var": _Parser.parse_name,
+    "low": _Parser.parse_int,
+    "high": _Parser.parse_int,
+}

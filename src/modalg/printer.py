@@ -1,4 +1,12 @@
-"""Canonical printer for the three expression sorts.
+"""Concrete syntax of the three expression sorts: the operator table, which
+the parser reads too, and the canonical printer.
+
+Every operator with a subterm is one row of OPERATORS: its constructor, its
+token, its fixity, its binding power and the text between the token and the
+subterm, with the node's other fields as holes. A class row's sorts are the
+sort bases it derives from; the parse-only sugar rows name theirs and are
+never printed. The printer emits each class row's nodes through that row,
+and the leaves through the hand-written emitters below.
 
 The output is valid surface syntax and deterministic (sets are emitted
 sorted), so it doubles as the subformula-labelling key for transition
@@ -7,11 +15,18 @@ systems. parse(to_text(ast)) == ast is a tested invariant.
 
 from __future__ import annotations
 
+from dataclasses import fields
+from string import Formatter
+from typing import Callable, Optional
+
 from . import dynamic, flat, lmumu
 from .flat import Const, Var
 
 # precedence levels: 0 mu, 1 union, 2 compose/and, 3 prefix unary, 4 primary
 _MU, _UNION, _SEQ, _PREFIX, _PRIMARY = 0, 1, 2, 3, 4
+
+PREFIX, INFIX, POSTFIX = "prefix", "infix", "postfix"
+SORTS = (flat.FlatExpr, flat.ProcExpr, flat.StateExpr)
 
 
 def _paren(text: str, level: int, required: int) -> str:
@@ -31,6 +46,77 @@ def _names(names) -> str:
     return ",".join(sorted(names))
 
 
+# how each hole of an operator's text is printed, by field name
+_HOLES = {
+    "keep": lambda keep: "{" + _names(keep) + "}",
+    "left": _operand,
+    "right": _operand,
+    "process": lambda process: _emit(process)[0],
+    "var": str,
+    "low": str,
+    "high": str,
+}
+
+
+class Operator:
+    """One row of the syntax table.
+
+    A prefix row's operand binds at its own power, so `mu`, at power 0,
+    takes the widest body; an infix row is left-associative, its right
+    operand binding one level tighter. `text`, in str.format's syntax, has
+    a hole for each of the node's other fields, in constructor order: the
+    node is ctor(*holes, operand) for a prefix row, ctor(operand, *holes)
+    for a postfix row and ctor(left, right) for an infix row.
+    """
+
+    def __init__(self, ctor: Callable, token: str, fixity: str, power: int, text: str = "",
+                 sorts: Optional[tuple[type, ...]] = None):
+        self.ctor, self.token, self.fixity, self.power = ctor, token, fixity, power
+        self.text = text
+        # (literal text, the hole after it or None)
+        self.pieces = [(literal, hole) for literal, hole, _, _ in Formatter().parse(text)]
+        self.holes = [hole for _, hole in self.pieces if hole]
+        self.sorts = sorts or tuple(sort for sort in SORTS if issubclass(ctor, sort))
+        if sorts is None:  # the field of a prefix or postfix row's subterm
+            self.operand = next(f.name for f in fields(ctor) if f.name not in self.holes)
+
+    def emit(self, e) -> tuple[str, int]:
+        power = self.power
+        if self.fixity == INFIX:
+            lt, ll = _emit(e.left)
+            rt, rl = _emit(e.right)
+            return f"{_paren(lt, ll, power)} {self.token} {_paren(rt, rl, power + 1)}", power
+        it, il = _emit(getattr(e, self.operand))
+        text = self.text.format_map({hole: _HOLES[hole](getattr(e, hole))
+                                     for hole in self.holes}) if self.holes else self.text
+        if self.fixity == PREFIX:
+            return self.token + text + _paren(it, il, power), power
+        return _paren(it, il, power) + self.token + text, power
+
+
+OPERATORS = (
+    Operator(flat.Union, "|", INFIX, _UNION),
+    Operator(dynamic.Compose, ";", INFIX, _SEQ),
+    Operator(lmumu.And, "&", INFIX, _SEQ),
+    Operator(flat.intersect, "&", INFIX, _SEQ, sorts=(flat.FlatExpr, flat.ProcExpr)),
+    Operator(flat.Lfp, "mu", PREFIX, _MU, " {var} . "),
+    Operator(flat.Complement, "-", PREFIX, _PREFIX),
+    Operator(lmumu.Not, "!", PREFIX, _PREFIX),
+    Operator(dynamic.Down, "dn", PREFIX, _PREFIX, " "),
+    Operator(dynamic.Up, "up", PREFIX, _PREFIX, " "),
+    Operator(dynamic.UnaryNeg, "neg", PREFIX, _PREFIX, " "),
+    Operator(dynamic.Reverse, "rev", PREFIX, _PREFIX, " "),
+    Operator(flat.Project, "pi", PREFIX, _PREFIX, "{keep} "),
+    Operator(flat.Select, "sel", PREFIX, _PREFIX, "[{left} == {right}] "),
+    Operator(lmumu.Diamond, "<", PREFIX, _PREFIX, "{process}> "),
+    Operator(lmumu.Box, "[", PREFIX, _PREFIX, "{process}] "),
+    Operator(dynamic.Count, "^", POSTFIX, _PRIMARY, "{{{low},{high}}}"),
+    Operator(dynamic.TestEq, "=?", POSTFIX, _PRIMARY),
+    Operator(dynamic.TestNeq, "!=?", POSTFIX, _PRIMARY),
+    Operator(dynamic.kleene_star, "*", POSTFIX, _PRIMARY, sorts=(flat.ProcExpr,)),
+)
+
+
 def to_text(e) -> str:
     text, _ = _emit(e)
     return text
@@ -45,41 +131,6 @@ def _emit(e) -> tuple[str, int]:
 
 def _primary(text):
     return lambda e: (text(e), _PRIMARY)
-
-
-def _binary(op: str, level: int):
-    """Left-associative: the right operand binds one level tighter."""
-
-    def emit(e):
-        lt, ll = _emit(e.left)
-        rt, rl = _emit(e.right)
-        return f"{_paren(lt, ll, level)}{op}{_paren(rt, rl, level + 1)}", level
-
-    return emit
-
-
-def _prefix(word):
-    """word(e) is the operator text printed before the inner term."""
-
-    def emit(e):
-        it, il = _emit(e.inner)
-        return word(e) + _paren(it, il, _PREFIX), _PREFIX
-
-    return emit
-
-
-def _postfix(word):
-    """word(e) is the operator text printed after the inner term."""
-
-    def emit(e):
-        it, il = _emit(e.inner)
-        return _paren(it, il, _PRIMARY) + word(e), _PRIMARY
-
-    return emit
-
-
-def _mu(e) -> tuple[str, int]:
-    return f"mu {e.var} . {_emit(e.body)[0]}", _MU
 
 
 def _atom(e) -> str:
@@ -105,7 +156,7 @@ def _const_test(e: dynamic.ConstTest) -> str:
     return f"const[{e.var} {op} {_operand(e.value)}]"
 
 
-# one emitter per operator shape, shared by the sorts that have the operator
+# the leaves, and one emitter per class row of the table
 _EMITTERS = {
     flat.Bottom: _primary(lambda e: "bot"),
     flat.ModuleVar: _primary(lambda e: e.name),
@@ -116,21 +167,5 @@ _EMITTERS = {
     dynamic.Diagonal: _primary(lambda e: "diag"),
     dynamic.ConstTest: _primary(_const_test),
     dynamic.StateTest: _primary(lambda e: f"({to_text(e.phi)})?"),
-    flat.Union: _binary(" | ", _UNION),
-    dynamic.Compose: _binary(" ; ", _SEQ),
-    lmumu.And: _binary(" & ", _SEQ),
-    flat.Complement: _prefix(lambda e: "-"),
-    lmumu.Not: _prefix(lambda e: "!"),
-    dynamic.Down: _prefix(lambda e: "dn "),
-    dynamic.Up: _prefix(lambda e: "up "),
-    dynamic.UnaryNeg: _prefix(lambda e: "neg "),
-    dynamic.Reverse: _prefix(lambda e: "rev "),
-    flat.Project: _prefix(lambda e: f"pi{{{_names(e.keep)}}} "),
-    flat.Select: _prefix(lambda e: f"sel[{_operand(e.left)} == {_operand(e.right)}] "),
-    lmumu.Diamond: _prefix(lambda e: f"<{to_text(e.process)}> "),
-    lmumu.Box: _prefix(lambda e: f"[{to_text(e.process)}] "),
-    dynamic.Count: _postfix(lambda e: f"^{{{e.low},{e.high}}}"),
-    dynamic.TestEq: _postfix(lambda e: "=?"),
-    dynamic.TestNeq: _postfix(lambda e: "!=?"),
-    flat.Lfp: _mu,
+    **{row.ctor: row.emit for row in OPERATORS if isinstance(row.ctor, type)},
 }

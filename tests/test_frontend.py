@@ -133,6 +133,8 @@ SYNTAX_ERRORS = [
     (parse_flat, "dn", 1, 1, "unexpected keyword 'dn'"),
     (parse_dyn, "dn", 1, 3, "expected 'NAME', found ''"),
     (parse_state, "-", 1, 1, "expected 'NAME', found '-'"),
+    (parse_state, "a '|' b", 1, 3, "expected 'EOF', found '|'"),  # a quoted token is no operator
+    (parse_dyn, "'dn' a", 1, 1, "expected 'NAME', found 'dn'"),
     (parse_spec, "dyn d = a ; ; b;", 1, 13, "expected a declaration keyword, found ';'"),
     (parse_spec, "module M(X/1) = truth { (1,0) };", 1, 31,
      "truth pattern must be 1 bits of 0/1"),
@@ -149,6 +151,24 @@ def test_syntax_error_position(parse, text, line, column, message):
         parse(text)
     assert (str(err.value), err.value.line, err.value.column) == (
         f"{line}:{column}: {message}", line, column)
+
+
+def test_state_test_attempts_grow_linearly(monkeypatch):
+    """A parenthesised process is tried as a state test (phi)? once per
+    position. Nested groups that turn out to be processes were re-tried from
+    every enclosing attempt, so the tokens read doubled with each level."""
+    from modalg import parser
+
+    reads = []
+    advance = parser._Parser.advance
+    monkeypatch.setattr(parser._Parser, "advance", lambda self: reads.append(1) or advance(self))
+    counts, text = [], "a"
+    for _ in range(8):
+        text = f"((<{text}> prop M(P))? ; b)"
+        reads.clear()
+        parse_dyn(text)
+        counts.append(len(reads))
+    assert len({later - earlier for earlier, later in zip(counts, counts[1:])}) == 1, counts
 
 
 class TestRoundTrip:

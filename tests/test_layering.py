@@ -10,7 +10,9 @@ and take state masks.
 The atom rule, the action normal form of the process evaluators, the
 fixed-point rounds of every sort and the task layer's choice of search are
 likewise in one function each, and the image of a state set under a
-process, in either direction, falls back to pair sets in one function.
+process, in either direction, falls back to pair sets in one function. The
+concrete syntax of the operators is one table, which the parser and the
+printer both read.
 """
 
 import ast
@@ -195,7 +197,7 @@ def test_one_form_rule_for_both_process_evaluators():
 
 
 SHARED_OPERATORS = ("Bottom", "ModuleVar", "Union", "Complement", "Project", "Select", "Lfp",
-                    "intersect", "minus")
+                    "intersect")
 # the state names of the operators the state logic shares with the other sorts
 STATE_OPERATORS = {"Bottom": "Bottom", "SetVar": "ModuleVar", "Or": "Union", "Lfp": "Lfp"}
 
@@ -219,6 +221,31 @@ def test_each_operator_declared_once():
     for state_name, name in STATE_OPERATORS.items():
         assert getattr(lmumu, state_name) is getattr(flat, name), state_name
     assert not hasattr(lmumu, "_eval_state") and not hasattr(flat, "_scoping")
+
+
+def test_one_syntax_table():
+    """Each operator's concrete syntax is one row of printer.OPERATORS, read
+    by the parser and the printer alike: one parser method climbs the infix
+    rows, none is written per sort, and the printer emits each class row's
+    nodes through the row itself."""
+    from modalg import parser, printer
+
+    per_sort = ("parse_flat", "parse_dyn", "parse_state", "parse_shared_prefix")
+    assert not [name for name in vars(parser._Parser) if name.startswith(per_sort)]
+    methods = next(node for node in ast.walk(ast.parse(_source("parser.py").read_text()))
+                   if isinstance(node, ast.ClassDef) and node.name == "_Parser").body
+    climbing = [method.name for method in methods if isinstance(method, ast.FunctionDef)
+                and "INFIX" in {node.id for node in ast.walk(method) if isinstance(node, ast.Name)}]
+    assert climbing == ["parse_expr"]
+    assert any(isinstance(node, (ast.While, ast.For))
+               for method in methods if getattr(method, "name", None) == "parse_expr"
+               for node in ast.walk(method))
+    rows = [row for row in printer.OPERATORS if isinstance(row.ctor, type)]
+    assert len({row.ctor for row in printer.OPERATORS}) == len(printer.OPERATORS)
+    emitters = {row.ctor: getattr(printer._EMITTERS[row.ctor], "__self__", None) for row in rows}
+    assert [row for row in rows if emitters[row.ctor] is not row] == []
+    assert not [name for name in ("_binary", "_prefix", "_postfix", "_mu")
+                if hasattr(printer, name)]
 
 
 def _imports(path):
