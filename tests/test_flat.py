@@ -153,6 +153,10 @@ SELECT_SHAPES = [
     (Const.of([("a",)]), Const.of([("a",)])),
     (Const.of([("a",)]), Const.of([("b",)])),
     (Const.of([]), Const.of([])),
+    # a binary constant against a unary symbol, the constant on the left;
+    # the id keeps the tuples in the order written, not the sorted one
+    pytest.param(Const.of([("b", "b"), ("a", "b")]), Var("P"),
+                 id="Const(tuples=frozenset({('b', 'b'), ('a', 'b')}), arity=2)-Var(name='P')"),
 ]
 
 
