@@ -34,11 +34,14 @@ def _load_spec(path: str) -> SpecFile:
     return spec
 
 
-def _definition(spec: SpecFile, sort: str, name: str):
+def _definition(spec: SpecFile, sort: str, name: str, reader: str):
     """The spec's definition named name among those of the sort ("flat",
-    "dyn" or "state")."""
+    "dyn" or "state") that reader, a command or task kind, reads."""
     defs = getattr(spec, f"{sort}_defs")
     if name not in defs:
+        have = [k for k in ("flat", "dyn", "state") if name in getattr(spec, f"{k}_defs")]
+        if have:
+            raise ModalgError(f"{name} is a {have[0]} definition; {reader} reads {sort} definitions")
         raise ModalgError(f"no {sort} definition named {name}")
     return defs[name]
 
@@ -92,7 +95,7 @@ def _print_structures(structures) -> int:
 
 def _cmd_eval_flat(args) -> int:
     spec = _load_spec(args.spec)
-    e = _definition(spec, "flat", args.expr)
+    e = _definition(spec, "flat", args.expr, "eval-flat")
     universe = build_universe(spec.domain, spec.vocabulary, args.cap)
     result = eval_flat(e, spec.valuation(), universe)
     for i in result.indices():
@@ -102,7 +105,7 @@ def _cmd_eval_flat(args) -> int:
 
 def _cmd_eval_dyn(args) -> int:
     spec = _load_spec(args.spec)
-    a = _definition(spec, "dyn", args.expr)
+    a = _definition(spec, "dyn", args.expr, "eval-dyn")
     universe = build_universe(spec.domain, spec.vocabulary, args.cap)
     result = eval_dyn(a, spec.valuation(), universe)
     for i, j in sorted(result.pairs()):
@@ -112,7 +115,7 @@ def _cmd_eval_dyn(args) -> int:
 
 def _cmd_eval_state(args) -> int:
     spec = _load_spec(args.spec)
-    phi = _definition(spec, "state", args.expr)
+    phi = _definition(spec, "state", args.expr, "eval-state")
     universe = build_universe(spec.domain, spec.vocabulary, args.cap)
     result = eval_state(phi, spec.valuation(), universe)
     for i in result.indices():
@@ -122,13 +125,13 @@ def _cmd_eval_state(args) -> int:
 
 def _cmd_translate(args) -> int:
     spec = _load_spec(args.spec)
-    print(to_text(translate_two_sorted(_definition(spec, "state", args.expr))))
+    print(to_text(translate_two_sorted(_definition(spec, "state", args.expr, "translate"))))
     return 0
 
 
 def _cmd_export_dot(args) -> int:
     spec = _load_spec(args.spec)
-    a = _definition(spec, "dyn", args.expr)
+    a = _definition(spec, "dyn", args.expr, "export-dot")
     universe = build_universe(spec.domain, spec.vocabulary, args.cap)
     ts, _ = collect_stats(a, spec.valuation(), universe)
     export_dot(ts, args.output)
@@ -139,7 +142,7 @@ def _cmd_export_dot(args) -> int:
 
 def _cmd_stats(args) -> int:
     spec = _load_spec(args.spec)
-    a = _definition(spec, "dyn", args.expr)
+    a = _definition(spec, "dyn", args.expr, "stats")
     universe = build_universe(spec.domain, spec.vocabulary, args.cap)
     _, stats = collect_stats(a, spec.valuation(), universe)
     if args.json:
@@ -159,7 +162,7 @@ def _run_task(spec: SpecFile, directive: TaskDirective, cap: int) -> int:
     kind = directive.kind
     if kind not in _TASK_SORTS:
         raise ModalgError(f"unknown task kind {kind!r}")
-    e = _definition(spec, _TASK_SORTS[kind], directive.formula)
+    e = _definition(spec, _TASK_SORTS[kind], directive.formula, kind)
     if kind == "mc":
         structure = _structure_from_bindings(spec, directive.bindings)
         ok = tasks.mc(e, structure, valuation)

@@ -10,6 +10,7 @@ all-empty structure and index order is lexicographic on the bit vector.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -172,12 +173,30 @@ class Structure:
         return " ".join(parts)
 
 
+_KEPT_VALUE_SLOTS = 12
+
+
 def all_relation_values(domain: Domain, arity: int) -> Iterator[RelationValue]:
     """All relations of the given arity, ascending in canonical slot order.
 
     Canonical order mirrors the universe index: the bit pattern over the
-    lexicographic tuple list, first tuple most significant.
+    lexicographic tuple list, first tuple most significant. A space of at
+    most 12 slots (2^12 relations) is built once and kept for the last
+    (domain, arity) pair only, so the kept values stay within one space; a
+    larger space is generated on demand.
     """
+    if len(domain) ** arity <= _KEPT_VALUE_SLOTS:
+        yield from _kept_relation_values(domain, arity)
+    else:
+        yield from _relation_values(domain, arity)
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_relation_values(domain: Domain, arity: int) -> tuple[RelationValue, ...]:
+    return tuple(_relation_values(domain, arity))
+
+
+def _relation_values(domain: Domain, arity: int) -> Iterator[RelationValue]:
     tuples = [
         tuple(domain.elements[i] for i in idx)
         for idx in itertools.product(range(len(domain)), repeat=arity)

@@ -126,14 +126,11 @@ class Const:
         return RelationValue(arity, self.tuples)
 
 
-Operand = TUnion[Var, Const]
-
-
 @dataclass(frozen=True)
 class Select(FlatExpr, ProcExpr):
     additive = ("inner",)
-    left: Operand
-    right: Operand
+    left: Var | Const
+    right: Var | Const
     inner: Node
 
 
@@ -451,7 +448,7 @@ def _named(fn):
 
 
 def _select_filter(
-    left: Operand, right: Operand, valuation: Valuation, u: Universe
+    left: Var | Const, right: Var | Const, valuation: Valuation, u: Universe
 ) -> IndexSet:
     """Indices whose structure satisfies L1 = L2 (state-level comparison)."""
     if isinstance(left, Const) and isinstance(right, Const):

@@ -163,6 +163,17 @@ class _Parser:
         tok = self.peek()
         return SpecSyntaxError(message, tok.line, tok.column)
 
+    def build(self, start: Token, make: Callable[..., T], *args) -> T:
+        """make(*args). Any other error it raises, such as a node
+        constructor's check, becomes a syntax error at start, the first token
+        of the construct, with the same message."""
+        try:
+            return make(*args)
+        except SpecSyntaxError:
+            raise
+        except ModalgError as exc:
+            raise SpecSyntaxError(str(exc), start.line, start.column) from exc
+
     def starts_expression(self, offset: int = 0) -> bool:
         tok = self.peek(offset)
         if tok.kind == "NAME":
@@ -208,9 +219,10 @@ class _Parser:
         return RelationValue(1 if const.arity is None else const.arity, const.tuples)
 
     def parse_const_token(self) -> flat.Const:
-        return _parse_whole(self.expect("CONST").value, _Parser.parse_relation_literal)
+        tok = self.expect("CONST")
+        return self.build(tok, _parse_whole, tok.value, _Parser.parse_relation_literal)
 
-    def parse_operand(self) -> flat.Operand:
+    def parse_operand(self) -> flat.Var | flat.Const:
         if self.check("CONST"):
             return self.parse_const_token()
         return flat.Var(self.expect("NAME").value)
@@ -226,6 +238,7 @@ class _Parser:
         """An expression of the sort, joined by infix operators that bind at
         level or tighter. A ';' not followed by an expression ends the
         declaration, so it is left unread."""
+        start = self.peek()
         left = self.parse_unary(sort)
         while True:
             row = self._row(sort, INFIX)
@@ -233,20 +246,21 @@ class _Parser:
                     row.token == ";" and not self.starts_expression(1)):
                 return left
             self.advance()
-            left = row.ctor(left, self.parse_expr(sort, row.power + 1))
+            left = self.build(start, row.ctor, left, self.parse_expr(sort, row.power + 1))
 
     def parse_unary(self, sort: str) -> Node:
         """A prefix operator and its operand, or a primary and its postfix
         operators: postfix binds tighter, so `dn a*` is `dn (a*)`."""
+        start = self.peek()
         row = self._row(sort, PREFIX)
         if row is not None:
             self.advance()
             holes = self._parse_holes(row)
-            return row.ctor(*holes, self.parse_expr(sort, row.power))
+            return self.build(start, row.ctor, *holes, self.parse_expr(sort, row.power))
         expr = self.parse_primary(sort)
         while (row := self._row(sort, POSTFIX)) is not None:
             self.advance()
-            expr = row.ctor(expr, *self._parse_holes(row))
+            expr = self.build(start, row.ctor, expr, *self._parse_holes(row))
         return expr
 
     def _parse_holes(self, row: Operator) -> list:
@@ -312,21 +326,24 @@ class _Parser:
         self.expect("OP", "(")
         if sort == "dyn" and (self.check("NAME", "in") or self.check("NAME", "out")):
             args: list[str] = []
-            inputs: set[str] = set()
+            markers: dict[str, str] = {}  # argument -> in or out
             while True:  # a marker holds until the next one
                 if self.accept("NAME", "in"):
                     marker = "in"
                 elif self.accept("NAME", "out"):
                     marker = "out"
-                arg = self.expect("NAME").value
-                args.append(arg)
-                if marker == "in":
-                    inputs.add(arg)
+                tok = self.expect("NAME")
+                if markers.setdefault(tok.value, marker) != marker:
+                    raise SpecSyntaxError(
+                        f"argument {tok.value} is marked both in and out", tok.line, tok.column
+                    )
+                args.append(tok.value)
                 if self.accept("OP", ",") or self.accept("OP", ";"):
                     continue
                 break
             self.expect("OP", ")")
-            return dynamic.Action(name, tuple(args), frozenset(inputs), frozenset(args) - inputs)
+            inputs = frozenset(a for a, m in markers.items() if m == "in")
+            return dynamic.Action(name, tuple(args), inputs, frozenset(args) - inputs)
         args = self.parse_items(self.parse_name)
         self.expect("OP", ")")
         if sort == "flat":
@@ -365,8 +382,8 @@ class _Parser:
         self.advance()
         if tok.value in _SORTS:
             self._decl_definition(tok.value)
-        else:
-            getattr(self, f"_decl_{tok.value}")()
+        else:  # a value the declaration builds fails at its keyword
+            self.build(tok, getattr(self, f"_decl_{tok.value}"))
         self.expect("OP", ";")
 
     def _decl_domain(self) -> None:

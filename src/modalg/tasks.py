@@ -5,17 +5,21 @@ equivalence report.
 
 mc, mx, ev and sat_bounded all ask one generator, `_models`, for the
 structures that satisfy a formula and agree with some fixed symbols. It is
-the one place that chooses how: directly on structures (no universe), where
-model checking is a recursion, projection searches only the hidden symbols,
-and expansions are found by DFS with three-valued pruning; or, for formulas
-with fixed points or free module variables, over an explicit universe.
+the one place that chooses how. Formulas with fixed points or free module
+variables are evaluated over an explicit universe. Any other formula is
+searched on structures, with no universe: `_compile` turns it once per call
+into a three-valued check of partial interpretations, and a depth-first
+search fills in the free symbols, pruning where the check answers False. A
+projection in the formula searches only its hidden symbols, and remembers
+its answer per value of its kept symbols for the rest of the call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import dynamic, flat, lmumu
 from .core import (
@@ -104,18 +108,11 @@ def task_vocabulary(
     arities = infer_arities(e, valuation, outputs)
     symbols: list[tuple[str, int]] = list(base.symbols) if base is not None else []
     known = {n for n, _ in symbols}
-    extras = sorted(
-        (valuation.symbol(var), arity)
-        for var, arity in arities.items()
-        if valuation.symbol(var) not in known
-    )
-    seen: set[str] = set()
-    for name, arity in extras:
-        if name in seen:
-            continue
-        seen.add(name)
-        symbols.append((name, arity))
-    return Vocabulary(tuple(symbols))
+    extras: dict[str, int] = {}  # a symbol two variables map to: its least arity
+    for name, arity in sorted((valuation.symbol(var), arity) for var, arity in arities.items()):
+        if name not in known:
+            extras.setdefault(name, arity)
+    return Vocabulary(tuple(symbols) + tuple(extras.items()))
 
 
 def _needs_universe(e: FlatExpr) -> bool:
@@ -123,103 +120,121 @@ def _needs_universe(e: FlatExpr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Structure-level satisfaction (two- and three-valued)
+# Structure-level satisfaction: the formula compiled once per search
 
 
-def _atom_binding(node: flat.Atom, valuation: Valuation) -> list[tuple[str, str, int]]:
-    module = valuation.module(node.module)
-    return [
-        (formal, valuation.symbol(arg), arity)
-        for (formal, arity), arg in zip(module.vvoc, node.args)
-    ]
+def _compile(e: FlatExpr, domain: Domain, vocab: Vocabulary, valuation: Valuation) -> Callable:
+    """e as a check of partial interpretations, symbol -> value, in which a
+    missing symbol is unknown: True or False when the known symbols decide
+    e, None when they do not (Kleene's three values).
 
-
-def _sat3(
-    e: FlatExpr,
-    rels: Mapping[str, RelationValue],
-    domain: Domain,
-    vocab: Vocabulary,
-    valuation: Valuation,
-) -> Optional[bool]:
-    """Kleene evaluation on a partial interpretation (missing symbols unknown)."""
+    An atom looks its module up when a check first reaches it, so a module
+    error is raised where the search meets the atom. A projection searches
+    its hidden symbols once per value of its kept ones, for this check only.
+    """
+    sub = lambda node: _compile(node, domain, vocab, valuation)
     if isinstance(e, flat.Bottom):
-        return False
+        return lambda rels: False
     if isinstance(e, flat.Atom):
-        module = valuation.module(e.module)
-        values = []
-        for _, sym, arity in _atom_binding(e, valuation):
-            if sym not in rels:
-                return None
-            if rels[sym].arity != arity:
-                raise ArityMismatch(
-                    f"atom {e.module}: symbol {sym} has arity {rels[sym].arity}, "
-                    f"expected {arity}"
-                )
-            values.append(rels[sym])
-        return module.accepts(domain, values)
+        module = symbols = None  # resolved on first use
+
+        def atom(rels):
+            nonlocal module, symbols
+            if module is None:
+                module = valuation.module(e.module)
+                symbols = [
+                    (valuation.symbol(arg), arity) for (_, arity), arg in zip(module.vvoc, e.args)
+                ]
+            values = []
+            for sym, arity in symbols:
+                if sym not in rels:
+                    return None
+                if rels[sym].arity != arity:
+                    raise ArityMismatch(
+                        f"atom {e.module}: symbol {sym} has arity {rels[sym].arity}, "
+                        f"expected {arity}"
+                    )
+                values.append(rels[sym])
+            return module.accepts(domain, values)
+
+        return atom
     if isinstance(e, flat.Union):
-        left = _sat3(e.left, rels, domain, vocab, valuation)
-        if left is True:
-            return True
-        right = _sat3(e.right, rels, domain, vocab, valuation)
-        if right is True:
-            return True
-        if left is False and right is False:
-            return False
-        return None
+        left, right = sub(e.left), sub(e.right)
+
+        def union(rels):
+            l = left(rels)
+            if l is True or (r := right(rels)) is True:
+                return True
+            return False if l is False and r is False else None
+
+        return union
     if isinstance(e, flat.Complement):
-        inner = _sat3(e.inner, rels, domain, vocab, valuation)
-        return None if inner is None else not inner
+        inner = sub(e.inner)
+
+        def complement(rels):
+            value = inner(rels)
+            return None if value is None else not value
+
+        return complement
     if isinstance(e, flat.Select):
-        inner = _sat3(e.inner, rels, domain, vocab, valuation)
-        if inner is False:
-            return False
-        theta = _theta3(e.left, e.right, rels, valuation)
-        if theta is False:
-            return False
-        if inner is True and theta is True:
-            return True
-        return None
+        inner, left, right = sub(e.inner), _tuples(e.left, valuation), _tuples(e.right, valuation)
+
+        def select(rels):
+            value = inner(rels)
+            if value is False:
+                return False
+            lt, rt = left(rels), right(rels)
+            if lt is None or rt is None:
+                return None
+            if lt != rt:
+                return False
+            return True if value is True else None
+
+        return select
     if isinstance(e, flat.Project):
+        inner = sub(e.inner)
         # a kept variable the body does not use constrains nothing
         used = {valuation.symbol(v) for v in occurring_vars(e.inner)}
-        keep_syms = {valuation.symbol(v) for v in e.keep} & used
-        if not keep_syms <= set(rels):
-            return None
-        hidden = sorted(used - keep_syms)
-        base = {s: rels[s] for s in keep_syms}
-        witness = next(_dfs_expansions(e.inner, base, hidden, domain, vocab, valuation), None)
-        return witness is not None
-    raise ModalgError(
-        f"{type(e).__name__} needs the explicit universe; structure-level check refused"
-    )
+        kept = sorted({valuation.symbol(v) for v in e.keep} & used)
+        hidden = sorted(used - set(kept))
+        answers: dict[tuple[RelationValue, ...], bool] = {}
+
+        def project(rels):
+            if not all(s in rels for s in kept):
+                return None
+            key = tuple([rels[s] for s in kept])
+            if key not in answers:
+                witnesses = _dfs_expansions(inner, dict(zip(kept, key)), hidden, domain, vocab)
+                answers[key] = next(witnesses, None) is not None
+            return answers[key]
+
+        return project
+
+    def refuse(rels):
+        raise ModalgError(
+            f"{type(e).__name__} needs the explicit universe; structure-level check refused"
+        )
+
+    return refuse
 
 
-def _theta3(left, right, rels: Mapping[str, RelationValue], valuation: Valuation) -> Optional[bool]:
-    def tuples_of(op):
-        if isinstance(op, Const):
-            return op.tuples
-        sym = valuation.symbol(op.name)
-        if sym not in rels:
-            return None
-        return rels[sym].tuples
-
-    lt, rt = tuples_of(left), tuples_of(right)
-    if lt is None or rt is None:
-        return None
-    return lt == rt
+def _tuples(op, valuation: Valuation) -> Callable:
+    """A selection operand's tuples, None while its symbol is unknown."""
+    if isinstance(op, Const):
+        return lambda rels: op.tuples
+    sym = valuation.symbol(op.name)
+    return lambda rels: rels[sym].tuples if sym in rels else None
 
 
 def _dfs_expansions(
-    e: FlatExpr,
+    check: Callable,
     base: dict[str, RelationValue],
     symbols: Sequence[str],
     domain: Domain,
     vocab: Vocabulary,
-    valuation: Valuation,
 ) -> Iterator[dict[str, RelationValue]]:
-    """All completions of base over `symbols` satisfying e, canonical order."""
-    value = _sat3(e, base, domain, vocab, valuation)
+    """All completions of base over `symbols` that pass check, canonical order."""
+    value = check(base)
     if value is False:
         return
     if not symbols:
@@ -227,11 +242,11 @@ def _dfs_expansions(
             yield dict(base)
         return
     if value:
-        e = flat.Complement(flat.Bottom())  # decided: every completion satisfies e
+        check = lambda rels: True  # decided: every completion passes
     sym = symbols[0]
     for rv in all_relation_values(domain, vocab.arity(sym)):
         base[sym] = rv
-        yield from _dfs_expansions(e, base, symbols[1:], domain, vocab, valuation)
+        yield from _dfs_expansions(check, base, symbols[1:], domain, vocab)
         del base[sym]
 
 
@@ -253,7 +268,8 @@ def _models(
             yield universe.structure_at(i)
         return
     free = [n for n in vocab.names if n not in fixed]
-    for rels in _dfs_expansions(e, dict(fixed), free, domain, vocab, valuation):
+    check = _compile(e, domain, vocab, valuation)
+    for rels in _dfs_expansions(check, dict(fixed), free, domain, vocab):
         yield Structure.make(domain, vocab, rels)
 
 
@@ -267,21 +283,19 @@ def mc(e: FlatExpr, structure: Structure, valuation: Valuation) -> bool:
     missing = needed - set(structure.vocabulary.names)
     if missing:
         raise IncompleteStructure(f"structure does not interpret {sorted(missing)}")
-    rels = {name: structure.rel(name) for name in structure.vocabulary.names}
+    rels = dict(zip(structure.vocabulary.names, structure.relations))
     models = _models(e, valuation, structure.domain, structure.vocabulary, rels)
     return next(models, None) is not None
 
 
-def _sigma_symbols(sigma, valuation: Valuation) -> set[str]:
-    return {valuation.symbol(v) for v in sigma}
-
-
-def _check_sigma_structure(sigma_syms: set[str], structure: Structure) -> None:
-    have = set(structure.vocabulary.names)
-    if have != sigma_syms:
+def _inputs(sigma, structure: Structure, valuation: Valuation) -> dict[str, RelationValue]:
+    """The input structure's relations by symbol; it interprets exactly sigma."""
+    want, have = {valuation.symbol(v) for v in sigma}, set(structure.vocabulary.names)
+    if have != want:
         raise WellformednessError(
-            f"input structure interprets {sorted(have)}, expected exactly {sorted(sigma_syms)}"
+            f"input structure interprets {sorted(have)}, expected exactly {sorted(want)}"
         )
+    return dict(zip(structure.vocabulary.names, structure.relations))
 
 
 def mx(
@@ -294,10 +308,8 @@ def mx(
 ) -> list[Structure]:
     """Model expansion: all expansions of the input structure satisfying e,
     in canonical order."""
-    sigma_syms = _sigma_symbols(sigma, valuation)
-    _check_sigma_structure(sigma_syms, structure)
+    fixed = _inputs(sigma, structure, valuation)
     vocab = vocabulary or task_vocabulary(e, valuation, structure.vocabulary)
-    fixed = {s: structure.rel(s) for s in sigma_syms}
     results = []
     for model in _models(e, valuation, structure.domain, vocab, fixed):
         results.append(model)
@@ -343,8 +355,7 @@ def ev(
 
     Returns the canonically least witness structure, or None.
     """
-    sigma_syms = _sigma_symbols(sigma, valuation)
-    _check_sigma_structure(sigma_syms, structure)
+    base = _inputs(sigma, structure, valuation)
     free = free_relational_vars(e)
     expected_outputs = {v for v in free if v not in set(sigma)}
     if expected_outputs != set(outputs):
@@ -353,7 +364,6 @@ def ev(
             f"{sorted(expected_outputs)}, got {sorted(outputs)}"
         )
     vocab = vocabulary or task_vocabulary(e, valuation, structure.vocabulary, outputs)
-    base: dict[str, RelationValue] = {s: structure.rel(s) for s in sigma_syms}
     for var, value in outputs.items():
         sym = valuation.symbol(var)
         if sym in vocab and value.arity != vocab.arity(sym):
@@ -463,10 +473,7 @@ class IoAssignment:
     choices: tuple[tuple[int, str, str], ...]  # (occurrence, variable, 'in'|'out')
 
     def direction(self, occurrence: int, var: str) -> Optional[str]:
-        for occ, v, d in self.choices:
-            if occ == occurrence and v == var:
-                return d
-        return None
+        return next((d for occ, v, d in self.choices if (occ, v) == (occurrence, var)), None)
 
     def label(self) -> str:
         if not self.choices:
@@ -668,13 +675,10 @@ def enumerate_io_assignments(
         for var in atom.args:
             if var in internal_vars and (occ, var) not in slots:
                 slots.append((occ, var))
-    assignments = []
-    for dirs in itertools.product(("in", "out"), repeat=len(slots)):
-        choices = tuple(
-            (occ, var, d) for (occ, var), d in zip(slots, dirs)
-        )
-        assignments.append(IoAssignment(choices))
-    return assignments
+    return [
+        IoAssignment(tuple((occ, var, d) for (occ, var), d in zip(slots, dirs)))
+        for dirs in itertools.product(("in", "out"), repeat=len(slots))
+    ]
 
 
 def dynamize(
@@ -744,11 +748,10 @@ class EquivalenceReport:
 
 
 def _const_modules(outputs: Mapping[str, RelationValue]) -> dict[str, AtomicModule]:
-    modules = {}
-    for var, value in outputs.items():
-        name = f"const_{var}"
-        modules[name] = AtomicModule.extensional(name, [(var, value.arity)], [(value,)])
-    return modules
+    return {
+        f"const_{var}": AtomicModule.extensional(f"const_{var}", [(var, value.arity)], [(value,)])
+        for var, value in outputs.items()
+    }
 
 
 def equivalence_check(
@@ -795,12 +798,8 @@ def equivalence_check(
 
     goal_modules = _const_modules(outputs)
     val2 = valuation.with_modules(goal_modules)
-    goal_formula: Optional[lmumu.StateExpr] = None
-    for var in sorted(outputs):
-        prop = lmumu.Prop(f"const_{var}", (var,))
-        goal_formula = prop if goal_formula is None else lmumu.And(goal_formula, prop)
-    if goal_formula is None:
-        goal_formula = lmumu.TOP
+    props = [lmumu.Prop(f"const_{var}", (var,)) for var in sorted(outputs)]
+    goal_formula = functools.reduce(lmumu.And, props) if props else lmumu.TOP
 
     ev_witness = ev(e, sigma, structure, dict(outputs), valuation, vocab)
     ev_ok = ev_witness is not None

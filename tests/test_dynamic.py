@@ -313,7 +313,8 @@ class TestSelect:
     def feedback_oracle(u, val, sel, inner):
         """The displayed semantics on Structure objects: (B1, B2) for a pair
         (C, B2) of the body, where B1 agrees with the witness C off L1 and L1
-        at B1 equals L2 at B2, as tuple sets (as tasks._theta3 compares)."""
+        at B1 equals L2 at B2, as tuple sets (as a selection compiled by
+        tasks._compile compares them)."""
         l1, l2 = val.symbol(sel.left.name), val.symbol(sel.right.name)
         structures = list(u)
         rest = [x for x in u.vocabulary.names if x != l1]

@@ -141,6 +141,16 @@ SYNTAX_ERRORS = [
     (parse_spec, "frob x;", 1, 1, "expected a declaration keyword, found 'frob'"),
     (parse_spec, "state s = prop M;", 1, 17, "prop M without arguments needs a declared module"),
     (parse_spec, "flat f = M(P)", 1, 14, "expected ';', found ''"),
+    # an argument marked both ways, at its second occurrence
+    (parse_dyn, "M(in P, out P)", 1, 13, "argument P is marked both in and out"),
+    (parse_dyn, "M(out P; in Q, P)", 1, 16, "argument P is marked both in and out"),
+    # a constructor's check, at the first token of its construct
+    (parse_dyn, "a^{2,1}", 1, 1, "bad counting bounds 2..1"),
+    (parse_dyn, "b ; (a | b)^{2,1}", 1, 5, "bad counting bounds 2..1"),
+    (parse_flat, "sel[P == '{(a),(a,b)}'] M(P)", 1, 10,
+     "constant tuples of mixed arity: [('a',), ('a', 'b')]"),
+    (parse_spec, "domain {a};\nmodule M(X/1) = builtin nope;", 2, 1,
+     "no builtin oracle named 'nope'"),
 ]
 
 
@@ -265,12 +275,23 @@ class TestCli:
         for argv, message in (
             (["task", demo_spec, "--kind", "mc", "--formula", "nosuch"],
              "no flat definition named nosuch"),
-            (["task", str(wrong), "--name", "wrong"], "no dyn definition named canfill"),
+            (["task", str(wrong), "--name", "wrong"],
+             "canfill is a state definition; reach reads dyn definitions"),
+            (["stats", demo_spec, "-e", "sometime"],
+             "sometime is a state definition; stats reads dyn definitions"),
             (["task", demo_spec, "--kind", "mc", "--formula", "same", "--bind", "P={(a)"],
              "1:5: expected '}', found ''"),
         ):
             assert main(argv) == 2
             assert f"error: {message}" in capsys.readouterr().err
+
+    def test_constructor_error_exit_two(self, tmp_path, capsys):
+        """A constructor's check fails as a syntax error with a position."""
+        bad = tmp_path / "bad.mod"
+        bad.write_text("domain {a};\nvocab {P/1};\ndyn bad = FullP(out P)^{2,1};\n",
+                       encoding="utf-8")
+        assert main(["eval-dyn", str(bad), "-e", "bad"]) == 2
+        assert "error: 3:11: bad counting bounds 2..1" in capsys.readouterr().err
 
     def test_stats(self, demo_spec, capsys):
         assert main(["stats", demo_spec, "-e", "setp"]) == 0

@@ -12,10 +12,14 @@ fixed-point rounds of every sort and the task layer's choice of search are
 likewise in one function each, and the image of a state set under a
 process, in either direction, falls back to pair sets in one function. The
 concrete syntax of the operators is one table, which the parser and the
-printer both read.
+printer both read. A fresh import of the package leaves no earlier copy of
+it alive.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import modalg
@@ -276,3 +280,32 @@ def test_lower_layers_do_not_import_the_sorts_above():
         for module, function in _imports(path) if module in ("dynamic", "lmumu")
     }
     assert found == {("flat.py", "lmumu", "_eval")}
+
+
+_FRESH_IMPORT = """
+import gc, sys, types, weakref
+import modalg.cli, modalg.export, modalg.tasks
+
+def definitions():
+    return [value for name, module in list(sys.modules.items()) if name.startswith("modalg")
+            for value in vars(module).values()
+            if isinstance(value, (type, types.FunctionType)) and value.__module__ == name]
+
+first = [weakref.ref(value) for value in definitions()]
+for name in [name for name in sys.modules if name.startswith("modalg")]:
+    del sys.modules[name]
+import modalg.cli, modalg.export, modalg.tasks
+gc.collect()
+print(sorted({f"{r().__module__}.{r().__qualname__}" for r in first if r() is not None}))
+"""
+
+
+def test_a_fresh_import_frees_the_last():
+    """Imported afresh, as a reload or a benchmark set-up does, the package
+    leaves no earlier copy alive: no module-level value, such as a
+    subscripted typing alias kept in typing's cache, holds on to its
+    classes and through them to every module they reach."""
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
+    run = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -21,9 +21,11 @@ from modalg.core import (
     propositional_module,
 )
 from modalg.errors import (
+    ArityMismatch,
     CapExceeded,
     ModalgError,
     NonPropositionalFormula,
+    UnknownBuiltin,
     WellformednessError,
 )
 from modalg.flat import Const, Var
@@ -566,9 +568,9 @@ class TestBranchesAgree:
         if universe == "pq":
             domain, vocab, _, val = pq
             count, depth, samples = 12, 3, 4
-        else:  # a hidden Q has 512 values, so keep projections shallow
+        else:  # a hidden Q has 512 values: each projection searches them once per P
             domain, vocab, val = three_element_setup()
-            count, depth, samples = 8, 2, 2
+            count, depth, samples = 8, 3, 2
         rng = random.Random(83)
         formulas = []
         while len(formulas) < count:
@@ -642,3 +644,51 @@ class TestBranchesAgree:
             assert ev(e, {"P"}, part, outputs, val, vocab) == want
         assert task_vocabulary(e, val, part.vocabulary, {"Q": rel(2)}).symbols == (
             ("P", 1), ("Q", 2))
+
+
+class TestCompiledSearch:
+    """The structure-level search compiles its formula once per call."""
+
+    def test_projection_searched_once_per_kept_value(self):
+        """pi{P} (inner | Copy(P,Q) & EmptyQ(Q)), inner = pi{P} (Copy(P,Q) &
+        EmptyQ(Q)): both hold iff P is empty. For P = {a} the outer search
+        meets inner at its root and at each of Q's 512 values; inner's
+        answer depends on P only, so it searches Q once per call. Each
+        search calls Copy once per value and EmptyQ once more, where Copy
+        holds: 2 * 513 oracle calls."""
+        domain, vocab, val = three_element_setup()
+        calls = []
+
+        def counting(module):
+            def fn(d, rels):
+                calls.append(module.name)
+                return module.oracle(d, rels)
+            return AtomicModule.builtin(module.name, module.vvoc, fn=fn)
+
+        val = Valuation(domain, {}, {name: counting(m) for name, m in val.modules.items()})
+        body = F.intersect(F.Atom("Copy", ("P", "Q")), F.Atom("EmptyQ", ("Q",)))
+        e = F.Project(frozenset({"P"}), F.Union(F.Project(frozenset({"P"}), body), body))
+        # calls with other fixed values share no answers: each searches anew
+        for p, want, count in (([], True, 2), ([("a",)], False, 2 * 513),
+                               ([("a",)], False, 2 * 513)):
+            calls.clear()
+            assert mc(e, Structure.make(domain, vocab, {"P": p, "Q": []}), val) is want
+            assert len(calls) == count
+
+    def test_unreached_module_is_not_looked_up(self, pq):
+        domain, vocab, _, val = pq
+        e = F.Union(F.Complement(F.Bottom()), F.Atom("Nope", ("P",)))
+        assert mc(e, structure_pq(domain, vocab), val) is True
+        assert mx(e, {"P"}, Structure.make(domain, Vocabulary((("P", 1),)), {"P": []}),
+                  val, vocab)
+
+    def test_reached_module_errors(self, pq):
+        domain, vocab, _, val = pq
+        structure = structure_pq(domain, vocab)
+        with pytest.raises(UnknownBuiltin, match="no atomic module named 'Nope'"):
+            mc(F.Union(F.Atom("Nope", ("P",)), F.Complement(F.Bottom())), structure, val)
+        # a fixed symbol of another arity than the module's variable
+        binary = Vocabulary((("P", 1), ("Q", 2)))
+        wide = Structure.make(domain, binary, {"P": [], "Q": [("a", "b")]})
+        with pytest.raises(ArityMismatch, match="^atom EmptyQ: symbol Q has arity 2, expected 1$"):
+            mc(F.Atom("EmptyQ", ("Q",)), wide, val)
