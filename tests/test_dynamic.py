@@ -3,11 +3,12 @@ cases, fixed points, transition systems."""
 
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 
 from conftest import rel
-from _gen import PROP_FULLP, SETP, SETQ_COPY, random_proc, three_element_setup
+from _gen import PROP_FULLP, SETP, SETQ_COPY, random_any_proc, random_proc, three_element_setup
 from modalg import dynamic as D
 from modalg import lmumu as S
 from modalg.core import (
@@ -24,8 +25,9 @@ from modalg.dynamic import (
     io_vocab,
     kleene_star,
 )
-from modalg.errors import IllegalSelect
+from modalg.errors import CapExceeded, IllegalSelect, ModalgError
 from modalg.flat import Const, EvalStats, Var
+from modalg.indexsets import compose
 from modalg.printer import to_text
 
 
@@ -34,7 +36,42 @@ def pairs_of(edge_set):
 
 
 def brute_compose(a, b):
-    return {(i, j) for i, mid1 in a for mid2, j in b if mid1 == mid2}
+    """{(i, k) : (i, j) in a and (j, k) in b for some j}, on sets of pairs."""
+    after = defaultdict(set)
+    for j, k in b:
+        after[j].add(k)
+    return {(i, k) for i, j in a for k in after[j]}
+
+
+# {a,b,c}, P/1, Q/2: a function (Copy), many sources per target (EmptyQ
+# frees Q's nine bits), many targets per source (NonemptyP frees P's three,
+# after a test keeps 8 of the 4,096 sources), and a union
+ABC_OPERANDS = [
+    SETQ_COPY,
+    D.Action("EmptyQ", ("Q",), frozenset(), frozenset({"Q"})),
+    D.Compose(D.Test("EmptyQ", ("Q",)), D.Action("NonemptyP", ("P",), frozenset(), frozenset({"P"}))),
+    D.Union(SETP, SETQ_COPY),
+]
+
+
+@pytest.fixture(scope="module")
+def abc():
+    """three_element_setup's universe and valuation, and ABC_OPERANDS with
+    four random_any_proc terms of at most 6,000 pairs, none complemented
+    (a complemented pair set over 4,096 states is over the budget)."""
+    domain, vocab, val = three_element_setup()
+    u = build_universe(domain, vocab)
+    rng = random.Random(26)
+    procs = list(ABC_OPERANDS)
+    while len(procs) < len(ABC_OPERANDS) + 4:
+        a = random_any_proc(rng, 2)
+        try:
+            iset = eval_dyn(a, val, u).iset
+        except ModalgError:
+            continue
+        if not iset.negated and 0 < len(iset) <= 6000:
+            procs.append(a)
+    return u, val, procs
 
 
 class TestIoVocab:
@@ -139,7 +176,7 @@ class TestDerivedOperations:
             assert down == {(i, i) for i, _ in edges}
             assert up == {(j, j) for _, j in edges}
 
-    def test_compose_is_brute_force_join(self, pq):
+    def test_compose_is_brute_force_join(self, pq, abc):
         _, _, u, val = pq
         rng = random.Random(23)
         for _ in range(8):
@@ -148,8 +185,28 @@ class TestDerivedOperations:
             expected = brute_compose(pairs_of(eval_dyn(a, val, u)),
                                      pairs_of(eval_dyn(b, val, u)))
             assert got == expected
+        # Each pair set below is an operand of many compositions, on both
+        # sides, so its index is built once and read again: every result is
+        # still the join, and no set changes. On P/Q some are complemented.
+        pq_sets = [eval_dyn(random_proc(rng, 2), val, u).iset for _ in range(10)]
+        assert any(s.negated for s in pq_sets)
+        u_abc, val_abc, procs = abc
+        abc_sets = [eval_dyn(a, val_abc, u_abc).iset for a in procs]
+        for u, sets in ((u, pq_sets), (u_abc, abc_sets)):
+            pairs = [pairs_of(EdgeSet(u, s)) for s in sets]
+            for a, pa in zip(sets, pairs):
+                for b, pb in zip(sets, pairs):
+                    assert pairs_of(EdgeSet(u, compose(a, b))) == brute_compose(pa, pb)
+            assert [pairs_of(EdgeSet(u, s)) for s in sets] == pairs
+        # over 4,096 states a complemented operand is refused as it
+        # materializes, on either side, whichever operand is indexed
+        everything = eval_dyn(D.Complement(D.Bottom()), val_abc, u_abc).iset
+        for a in abc_sets[:2]:
+            for left, right in ((a, everything), (everything, a)):
+                with pytest.raises(CapExceeded):
+                    compose(left, right)
 
-    def test_count_is_union_of_powers(self, pq):
+    def test_count_is_union_of_powers(self, pq, abc):
         _, _, u, val = pq
         rng = random.Random(24)
         for a in [SETP, SETQ_COPY, D.Union(SETP, D.Diagonal()), random_proc(rng, 2)]:
@@ -163,6 +220,17 @@ class TestDerivedOperations:
                     power = brute_compose(power, base)
                 got = pairs_of(eval_dyn(D.Count(a, low, high), val, u))
                 assert got == union_of_powers
+        # on {a,b,c}, A bound to one pair set, which each count reads again
+        u, val, procs = abc
+        for proc in procs:
+            edges = eval_dyn(proc, val, u)
+            bound, base = val.bind("A", edges), pairs_of(edges)
+            powers = [{(i, i) for i in range(u.size)}]
+            while len(powers) < 4:
+                powers.append(brute_compose(powers[-1], base))
+            for low, high in ((0, 2), (1, 3), (2, 2)):
+                got = pairs_of(eval_dyn(D.Count(D.ModuleVar("A"), low, high), bound, u))
+                assert got == set().union(*powers[low:high + 1]), to_text(proc)
 
     def test_count_builds_diagonal_only_for_power_zero(self, monkeypatch):
         # a^{n,m} takes its powers from the body on: m - 1 compositions, and
@@ -196,18 +264,26 @@ class TestDerivedOperations:
             D.Union(D.Diagonal(), SETP), val, u
         )
 
-    def test_star_is_reflexive_transitive_closure(self, pq):
+    def test_star_is_reflexive_transitive_closure(self, pq, abc):
+        # diag | Z ; a and diag | a ; Z; on {a,b,c} the step is A, bound to
+        # one pair set, which both fixpoints read
         _, _, u, val = pq
         rng = random.Random(25)
-        for a in self._catalogue(rng, 6):
+        cases = [(u, val, a) for a in self._catalogue(rng, 6)]
+        u_abc, val_abc, procs = abc
+        cases += [(u_abc, val_abc.bind("A", eval_dyn(a, val_abc, u_abc)), D.ModuleVar("A"))
+                  for a in procs]
+        for u, val, a in cases:
             base = pairs_of(eval_dyn(a, val, u))
-            closure = {(i, i) for i in range(16)}
+            closure = {(i, i) for i in range(u.size)}
             while True:
                 bigger = closure | brute_compose(closure, base)
                 if bigger == closure:
                     break
                 closure = bigger
-            assert pairs_of(eval_dyn(kleene_star(a), val, u)) == closure
+            mirrored = D.Lfp("Z", D.Union(D.Diagonal(), D.Compose(a, D.ModuleVar("Z"))))
+            for star in (kleene_star(a), mirrored):
+                assert pairs_of(eval_dyn(star, val, u)) == closure, to_text(star)
 
     def test_star_of_three_state_chain(self):
         # chain s00 -> s10 -> s11 over two unary symbols on one element

@@ -9,6 +9,7 @@ import pytest
 from conftest import structure_pq
 from modalg import dynamic as D
 from modalg import flat as F
+from modalg import indexsets
 from modalg import lmumu as S
 from modalg.core import AtomicModule, Domain, Structure, Valuation, Vocabulary, build_universe
 from modalg.errors import (
@@ -182,3 +183,21 @@ def test_diamond_over_oversized_action_needs_no_pairs():
     result = eval_state(S.Diamond(EMPTY6, PROP_EMPTY6), val, u)
     assert len(result) == 1 << 22
     assert time.perf_counter() - start < 1.0
+
+
+def test_composition_stops_at_the_budget(pq, monkeypatch):
+    """Any(out P) ; Any(out Q) on P/Q: each operand holds 64 pairs, their
+    composition all 256. Under a budget of 255 the composition raises and
+    names its node; under 256 it answers."""
+    domain, _, u, _ = pq
+    val = Valuation(domain, {}, {"Any": AtomicModule.builtin("Any", [("A", 1)],
+                                                             fn=lambda d, rels: True)})
+    node = D.Compose(D.Action("Any", ("P",), frozenset(), frozenset({"P"})),
+                     D.Action("Any", ("Q",), frozenset(), frozenset({"Q"})))
+    monkeypatch.setattr(indexsets, "MATERIALIZE_LIMIT", 255)
+    with pytest.raises(CapExceeded) as info:
+        eval_dyn(node, val, u)
+    assert str(info.value) == f"composition exceeds the enumeration limit (255) (in: {to_text(node)})"
+    assert info.value.node == node
+    monkeypatch.setattr(indexsets, "MATERIALIZE_LIMIT", 256)
+    assert len(eval_dyn(node, val, u)) == 256

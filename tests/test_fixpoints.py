@@ -10,6 +10,7 @@ import pytest
 from _gen import random_flat, random_proc, random_state
 from modalg import dynamic as D
 from modalg import flat as F
+from modalg import indexsets
 from modalg import lmumu as S
 from modalg.core import AtomicModule, Domain, Valuation, Vocabulary, build_universe
 from modalg.dynamic import EdgeSet, eval_dyn
@@ -232,6 +233,51 @@ def test_closed_process_under_modality_built_once(monkeypatch):
             assert built == {"inertia": 2, "compose": rounds[to_text(proc)]}
         else:
             assert built == {"inertia": 0, "compose": 0}
+
+
+def test_fixed_operand_indexed_once(monkeypatch):
+    # A composition looks pairs up in an index of one operand, kept in that
+    # pair set. The star body's hoisted chain, met in every round, is
+    # indexed once, as the right operand of Z ; chain and as the left one of
+    # chain ; Z, and so is a^{1,3}'s body, met in each power. The diagonal
+    # and the five actions take one inertia call each, and each round or
+    # power makes one composition.
+    def copy(s, t):
+        return D.Action("Copy", (s, t), frozenset({s}), frozenset({t}))
+
+    domain = Domain(("a",))
+    symbols = [f"P{k}" for k in range(6)]
+    u = build_universe(domain, Vocabulary(tuple((s, 1) for s in symbols)))
+    val = Valuation(domain, {}, {"Copy": AtomicModule.builtin(
+        "Copy", [("A", 1), ("B", 1)], fn=lambda d, r: r[0] == r[1])})
+    chain = copy(symbols[0], symbols[1])
+    for s, t in zip(symbols[1:], symbols[2:]):
+        chain = D.Union(chain, copy(s, t))
+    chain_pairs = eval_dyn(chain, val, u).iset
+    built = {"inertia": 0, "compose": 0}
+    for name in built:
+        original = getattr(D, name)
+        monkeypatch.setattr(D, name, lambda *args, _name=name, _fn=original: (
+            built.__setitem__(_name, built[_name] + 1) or _fn(*args)))
+    indexed = []
+    monkeypatch.setattr(indexsets, "_rows", lambda pairs, side, _fn=indexsets._rows: (
+        indexed.append((pairs, side)) or _fn(pairs, side)))
+    z = D.ModuleVar("Z")
+    for node, side in ((D.kleene_star(chain), 1),
+                       (D.Lfp("Z", D.Union(D.Diagonal(), D.Compose(chain, z))), 0)):
+        built.update(dict.fromkeys(built, 0))
+        indexed.clear()
+        stats = EvalStats()
+        eval_dyn(node, val, u, stats)
+        rounds = stats.fixpoint_iterations[to_text(node)]
+        assert rounds >= 5
+        assert built == {"inertia": 6, "compose": rounds}
+        assert [(pairs == chain_pairs, s) for pairs, s in indexed] == [(True, side)]
+    built.update(dict.fromkeys(built, 0))
+    indexed.clear()
+    eval_dyn(D.Count(chain, 1, 3), val, u)
+    assert built == {"inertia": 5, "compose": 2}
+    assert [(pairs == chain_pairs, s) for pairs, s in indexed] == [(True, 1)]
 
 
 def test_reverse_flipped_once_per_node():

@@ -98,6 +98,23 @@ def test_pair_operations_match_set_model():
             assert model(a.union(b)) == ma | mb
             assert model(a.intersection(b)) == ma & mb
             assert a.issubset(b) == (ma <= mb)
+    # every set of a few, plain and complemented, composed on both sides
+    # with each of them, so each index is built once and read again
+    reused = list(zip(sets, models))[:6] + list(zip(sets, models))[-2:]
+    for a, ma in reused:
+        for b, mb in reused:
+            assert model(compose(a, b)) == joined(ma, mb, space)
+    assert [model(a) for a, _ in reused] == [ma for _, ma in reused]
+
+
+def joined(ma, mb, space):
+    """The codes of {(i, k) : (i, j) coded in ma, (j, k) coded in mb}."""
+    bits = (space.bit_length() - 1) // 2
+    low = (1 << bits) - 1
+    after = {}
+    for c in mb:
+        after.setdefault(c >> bits, []).append(c & low)
+    return {c & ~low | k for c in ma for k in after.get(c & low, ())}
 
 
 BITS = 3  # states 0..7; pairs (i, j) coded (i << BITS) | j
